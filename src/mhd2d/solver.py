@@ -93,7 +93,9 @@ def stable_dt(state: State, params: SimulationParams, grid: Grid) -> float:
     acoustic speed (artificial pressure included) and the eps-drag speed
     eps*|grad rho| folded into the advective speeds.  Diffusion and
     viscosity are implicit, so they impose no h^2 restriction; dt_max,
-    when set, caps the result.
+    when set, caps the result.  Raises DegenerateState, naming the
+    offending fields, if the result is not finite (a NaN or inf in the
+    state would otherwise slip past every later dt check).
     """
     rho_min = float(state.rho.min())
     if rho_min <= 0.0:
@@ -106,6 +108,11 @@ def stable_dt(state: State, params: SimulationParams, grid: Grid) -> float:
         umax += params.eps * float(np.abs(g.x).max())
         vmax += params.eps * float(np.abs(g.y).max())
     dt = params.cfl / ((umax + c) / grid.hx + (vmax + c) / grid.hy)
+    if not np.isfinite(dt):
+        bad = [f for f in ("rho", "b", "ux", "uy") if not np.isfinite(getattr(state, f)).all()]
+        raise DegenerateState(
+            f"stable_dt is not finite (dt={dt}); non-finite values in {', '.join(bad)}"
+        )
     if params.dt_max is not None:
         dt = min(dt, params.dt_max)
     return dt
@@ -322,7 +329,7 @@ def step(
     dt = stable_dt(state, params, grid)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise DegenerateState(f"nonpositive time step {dt}")
 
     rho, b, ux, uy = state.rho, state.b, state.ux, state.uy

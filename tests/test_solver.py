@@ -102,6 +102,20 @@ def test_stable_dt_degenerate_state():
         stable_dt(bad, p, g)
 
 
+@pytest.mark.parametrize("field", ["ux", "uy"])
+def test_stable_dt_nan_velocity_face_names_field(field):
+    # one NaN face makes the CFL step NaN, which `dt <= 0` would let through
+    # to the stages, where it surfaces as a mislabelled PositivityLoss
+    p = params(nx=16, ny=16)
+    g = build_grid(p)
+    s = constant_state(g)
+    getattr(s, field)[3, 5] = np.nan
+    with pytest.raises(DegenerateState, match=f"non-finite values in {field}$"):
+        stable_dt(s, p, g)
+    with pytest.raises(DegenerateState, match=field):
+        step(s, p, g)
+
+
 # ------------------------------------------------------------------
 # implicit diffusion
 # ------------------------------------------------------------------

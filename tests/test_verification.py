@@ -1,11 +1,13 @@
-"""Manufactured-solution source correctness (against hand derivatives and
-finite differences), the order estimator, and small-scale sweep behavior
+"""Manufactured-solution source correctness (against hand derivatives,
+finite differences and a simplified reference build), one source build
+per order study, the order estimator, and small-scale sweep behavior
 including failure recording and the exact-zero delta member."""
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from mhd2d import verification
 from mhd2d.config import Config
 from mhd2d.core import InitialDataSpec, SimulationParams, build_grid, validate_params
 from mhd2d.errors import DegenerateInput, ValidationError
@@ -95,6 +97,83 @@ def test_momentum_source_delta_term_finite_difference():
     fd[0, :] = 0.0
     fd[-1, :] = 0.0  # source fields are pinned on boundary-normal faces
     assert np.abs(delta_term - fd).max() < 1e-6
+
+
+def _simplified_reference_sources(ms, p):
+    """Oracle for mms_sources: the same derivatives, with sp.simplify on the
+    scalar sources and plain lambdify (no CSE)."""
+    r, b, ux, uy = (ms.exprs[k] for k in ("rho", "b", "ux", "uy"))
+
+    def lap(e):
+        return sp.diff(e, X, 2) + sp.diff(e, Y, 2)
+
+    div_u = sp.diff(ux, X) + sp.diff(uy, Y)
+    s_rho = sp.diff(r, T) + sp.diff(r * ux, X) + sp.diff(r * uy, Y) - p.eps * lap(r)
+    s_b = sp.diff(b, T) + sp.diff(b * ux, X) + sp.diff(b * uy, Y) - p.eps * lap(b)
+    ptot = p.a * r ** p.gamma + b ** 2 / 2 + p.delta * (r + b) ** p.Gamma
+
+    def s_mom(uc, axis):
+        return (
+            sp.diff(r * uc, T) + sp.diff(r * uc * ux, X) + sp.diff(r * uc * uy, Y)
+            + sp.diff(ptot, axis)
+            + p.eps * (sp.diff(r, X) * sp.diff(uc, X) + sp.diff(r, Y) * sp.diff(uc, Y))
+            - p.mu * lap(uc) - (p.mu + p.lam) * sp.diff(div_u, axis)
+        )
+
+    fns = {
+        "rho": sp.lambdify((X, Y, T), sp.simplify(s_rho), "numpy"),
+        "b": sp.lambdify((X, Y, T), sp.simplify(s_b), "numpy"),
+        "ux": sp.lambdify((X, Y, T), s_mom(ux, X), "numpy"),
+        "uy": sp.lambdify((X, Y, T), s_mom(uy, Y), "numpy"),
+    }
+
+    def evaluate(grid, t):
+        meshes = {"rho": grid.center_mesh(), "b": grid.center_mesh(),
+                  "ux": grid.xface_mesh(), "uy": grid.yface_mesh()}
+        out = {k: np.array(np.broadcast_to(fns[k](Xm, Ym, t), Xm.shape), dtype=float)
+               for k, (Xm, Ym) in meshes.items()}
+        out["ux"][0, :] = out["ux"][-1, :] = 0.0
+        out["uy"][:, 0] = out["uy"][:, -1] = 0.0
+        return out
+
+    return evaluate
+
+
+def test_sources_match_simplified_reference_on_nonsquare_grid():
+    # every term live: eps, delta and lam all positive; nx != ny
+    p = params(nx=16, ny=12, eps=1e-2, delta=0.05, Gamma=6.0, lam=0.1, mu=0.1)
+    ms = default_manufactured_solution(p.Lx, p.Ly)
+    g = build_grid(p)
+    src = mms_sources(ms, p)
+    ref_src = _simplified_reference_sources(ms, p)
+    for t in (0.0, 0.1, 0.37):
+        got = src(g, t)._asdict()
+        for k, ref in ref_src(g, t).items():
+            assert got[k].shape == ref.shape
+            tol = 1e-12 * max(1.0, float(np.abs(ref).max()))
+            assert np.abs(got[k] - ref).max() <= tol, (k, t)
+
+
+@pytest.mark.parametrize("dt_max_coeff", [None, 0.5])
+def test_run_mms_builds_sources_once_per_study(monkeypatch, dt_max_coeff):
+    built, passed = [], []
+    orig_sources, orig_run = verification.mms_sources, verification.run
+
+    def counting_sources(*args):
+        built.append(orig_sources(*args))
+        return built[-1]
+
+    def recording_run(config, **kw):
+        passed.append(kw["sources"])
+        return orig_run(config, **kw)
+
+    monkeypatch.setattr(verification, "mms_sources", counting_sources)
+    monkeypatch.setattr(verification, "run", recording_run)
+    cfg = Config(params=params(eps=1e-2, delta=1e-2, t_final=0.02))
+    ms = default_manufactured_solution()
+    run_mms(cfg, ms, resolutions=(8, 12, 16), dt_max_coeff=dt_max_coeff)
+    assert len(built) == 1
+    assert len(passed) == 3 and all(s is built[0] for s in passed)
 
 
 def test_sampled_fields_satisfy_boundary_conditions():
