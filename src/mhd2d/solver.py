@@ -16,10 +16,21 @@ Diffusion and viscosity being implicit removes every h^2 time-step
 restriction; the step size is limited by the advective/acoustic CFL
 condition only, with the artificial-pressure sound speed included so the
 explicit pressure coupling stays stable.
+
+Both implicit solves are conjugate gradients, plain for diffusion (relative
+residual 1e-12) and Jacobi-preconditioned for viscosity (1e-10, started
+from the old velocity).  Each works on one flat vector whose rows carry a
+zero ghost column, so every stencil neighbour is a contiguous shift; the
+fused matvecs and the CG updates run in place in buffers allocated once
+per solve.  Dot products use numpy's einsum loop, not BLAS, so the result
+does not depend on the BLAS thread count.  A non-finite right-hand side or
+residual, CG breakdown and the iteration cap raise LinearSolveDivergence
+naming the solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -33,7 +44,6 @@ from .operators import (
     face_average_x,
     face_average_y,
     gradient_cc_to_face,
-    laplacian_neumann,
     momentum_advection,
     upwind_scalar_flux_div,
 )
@@ -119,21 +129,81 @@ def stable_dt(state: State, params: SimulationParams, grid: Grid) -> float:
 
 
 # ------------------------------------------------------------------
-# Implicit scalar diffusion (conjugate gradients)
+# Conjugate gradients on flat vectors
 # ------------------------------------------------------------------
 
-def _laplacian_dirichlet_cc(grid: Grid, q: np.ndarray) -> np.ndarray:
-    """5-point Laplacian of a cell scalar with zero wall value (sign-flip ghosts)."""
-    g = np.empty((grid.nx + 2, grid.ny + 2))
-    g[1:-1, 1:-1] = q
-    g[0, 1:-1] = -q[0, :]
-    g[-1, 1:-1] = -q[-1, :]
-    g[1:-1, 0] = -q[:, 0]
-    g[1:-1, -1] = -q[:, -1]
-    return (g[2:, 1:-1] - 2.0 * q + g[:-2, 1:-1]) / grid.hx ** 2 + (
-        g[1:-1, 2:] - 2.0 * q + g[1:-1, :-2]
-    ) / grid.hy ** 2
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product of two flat vectors by numpy's own loop, not BLAS.
 
+    A threaded BLAS `ddot` is slower at these sizes and splits the sum by
+    thread count, which would make results depend on the BLAS settings.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
+def _cg(name, matvec, b, x, tol, max_iter, jacobi=None):
+    """Conjugate gradients for matvec(x) = b, in place on the flat vector x.
+
+    `matvec(v, out)` writes A v into `out`.  With `jacobi` the residual is
+    preconditioned by that diagonal, otherwise z = r (plain CG).  The loop
+    allocates nothing.  Returns the iteration count; raises
+    LinearSolveDivergence, naming the solve, when the right-hand side or
+    the residual is not finite, on breakdown (p.Ap <= 0) and after
+    `max_iter` iterations.
+    """
+    bnorm = math.sqrt(_dot(b, b))
+    if not math.isfinite(bnorm):
+        raise LinearSolveDivergence(f"{name} CG: right-hand side is not finite (norm {bnorm})")
+    if bnorm == 0.0:
+        x.fill(0.0)
+        return 0
+
+    r = np.empty_like(b)
+    ap = np.empty_like(b)
+    w = np.empty_like(b)
+    matvec(x, r)
+    np.subtract(b, r, out=r)
+    z = r if jacobi is None else r / jacobi
+    p = z.copy()
+    rz = _dot(r, z)
+    rr = rz if jacobi is None else _dot(r, r)
+    it = 0
+    while True:
+        res = math.sqrt(rr)
+        if not math.isfinite(res):
+            raise LinearSolveDivergence(f"{name} CG: residual is not finite after {it} iterations")
+        if res <= tol * bnorm:
+            return it
+        if it >= max_iter:
+            raise LinearSolveDivergence(
+                f"{name} CG stalled after {it} iterations, residual {res / bnorm:.3e}"
+            )
+        matvec(p, ap)
+        pap = _dot(p, ap)
+        if not pap > 0.0:
+            raise LinearSolveDivergence(
+                f"{name} CG breakdown at iteration {it}: p.Ap = {pap:.3e} is not positive"
+            )
+        alpha = rz / pap
+        np.multiply(p, alpha, out=w)
+        x += w
+        np.multiply(ap, alpha, out=w)
+        r -= w
+        if jacobi is None:
+            rz_new = rr = _dot(r, r)
+        else:
+            np.divide(r, jacobi, out=z)
+            rz_new = _dot(r, z)
+            rr = _dot(r, r)
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
+        it += 1
+
+
+# ------------------------------------------------------------------
+# Implicit scalar diffusion
+# ------------------------------------------------------------------
 
 def implicit_diffusion_solve(
     grid: Grid,
@@ -149,10 +219,31 @@ def implicit_diffusion_solve(
     Relative residual is driven below `tol` (well under the 1e-10 the
     solver contract requires).  For Neumann walls the cell sum of q' is
     restored to the exact value the unit column sums of the matrix
-    dictate.  Raises LinearSolveDivergence after 10*(nx+ny) iterations.
+    dictate.  Raises LinearSolveDivergence after 10*(nx+ny) iterations,
+    on a non-finite q or residual, and on CG breakdown.
     """
     x, _ = _diffusion_solve_counted(grid, q, coef, dt, bc, tol, max_iter)
     return x
+
+
+def _diffusion_matvec(grid, diag, cx, cy, v, out, work):
+    """out = (I - c*Lap) v on flat cell vectors, 5-point stencil.
+
+    Cells are stored in rows of ny+1 with the last column a ghost held at
+    zero, so every neighbour is a contiguous shift of the flat vector.
+    `diag` carries the centre coefficient with the wall closure folded
+    in (zero on the ghosts); cx, cy are c/hx^2, c/hy^2.
+    """
+    L = grid.ny + 1
+    sx, sy = work
+    np.multiply(diag, v, out=out)
+    np.multiply(v, cx, out=sx)
+    np.multiply(v, cy, out=sy)
+    out[L:] -= sx[:-L]
+    out[:-L] -= sx[L:]
+    out[1:] -= sy[:-1]
+    out[:-1] -= sy[1:]
+    out.reshape(grid.nx, L)[:, -1] = 0.0
 
 
 def _diffusion_solve_counted(grid, q, coef, dt, bc, tol=1e-12, max_iter=None):
@@ -162,148 +253,185 @@ def _diffusion_solve_counted(grid, q, coef, dt, bc, tol=1e-12, max_iter=None):
     if c == 0.0:
         return q.copy(), 0
     if bc == "neumann":
-        lap = lambda v: laplacian_neumann(grid, v)
+        wall = -1.0  # mirror ghost: the wall neighbour drops out
     elif bc == "dirichlet":
-        lap = lambda v: _laplacian_dirichlet_cc(grid, v)
+        wall = 1.0  # sign-flip ghost: zero wall value, one more centre weight
     else:
         raise ValueError(f"unknown bc {bc!r}")
     if max_iter is None:
         max_iter = 10 * (grid.nx + grid.ny)
 
-    b = q
-    bnorm = float(np.sqrt(np.sum(b * b)))
-    if bnorm == 0.0:
-        return np.zeros_like(q), 0
+    nx, ny = grid.nx, grid.ny
+    cx, cy = c / grid.hx ** 2, c / grid.hy ** 2
+    diag = np.zeros((nx, ny + 1))
+    d = diag[:, :ny]
+    d += 1.0 + 2.0 * (cx + cy)
+    d[0, :] += wall * cx
+    d[-1, :] += wall * cx
+    d[:, 0] += wall * cy
+    d[:, -1] += wall * cy
+    diag = diag.ravel()
+    b = np.zeros(diag.size)
+    b.reshape(nx, ny + 1)[:, :ny] = q
+    x = b.copy()
+    work = (np.empty(b.size), np.empty(b.size))
+    it = _cg("diffusion", lambda v, out: _diffusion_matvec(grid, diag, cx, cy, v, out, work),
+             b, x, tol, max_iter)
 
-    x = q.copy()
-    r = b - (x - c * lap(x))
-    p = r.copy()
-    rr = float(np.sum(r * r))
-    it = 0
-    while np.sqrt(rr) > tol * bnorm:
-        if it >= max_iter:
-            raise LinearSolveDivergence(
-                f"diffusion CG stalled after {it} iterations, "
-                f"residual {np.sqrt(rr) / bnorm:.3e}"
-            )
-        Ap = p - c * lap(p)
-        alpha = rr / float(np.sum(p * Ap))
-        x += alpha * p
-        r -= alpha * Ap
-        rr_new = float(np.sum(r * r))
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-        it += 1
-
+    x = x.reshape(nx, ny + 1)[:, :ny].copy()
     if bc == "neumann":
         # the matrix has unit column sums; pin the cell sum to the exact value
-        x += (np.sum(b) - np.sum(x)) / x.size
+        x += (np.sum(q) - np.sum(x)) / x.size
     return x, it
 
 
 # ------------------------------------------------------------------
-# Implicit viscous solve (preconditioned CG on stacked face fields)
+# Implicit viscous solve (Jacobi-preconditioned CG on stacked faces)
 # ------------------------------------------------------------------
+#
+# Both face components live in one flat vector, x faces first, in rows
+# of ny+1: x faces (nx+1, ny) get a last ghost column held at zero, y
+# faces (nx, ny+1) fit as they are.  Every stencil neighbour is then a
+# contiguous shift of the flat vector by 1 (y) or ny+1 (x).
 
-def _viscous_matvec(grid, rfx, rfy, dt, mu, lam, ux, uy):
+def _faces(v: np.ndarray, grid: Grid):
+    """(nx+1, ny+1) x-face and (nx, ny+1) y-face views of a flat face vector."""
+    L = grid.ny + 1
+    n = (grid.nx + 1) * L
+    return v[:n].reshape(grid.nx + 1, L), v[n:].reshape(grid.nx, L)
+
+
+def _face_vector(grid, ux, uy):
+    """Pack (ux, uy) into a new flat face vector."""
+    v = np.empty((2 * grid.nx + 1) * (grid.ny + 1))
+    vx, vy = _faces(v, grid)
+    vx[:, :-1] = ux
+    vx[:, -1] = 0.0
+    vy[...] = uy
+    return v
+
+
+def _viscous_diagonals(grid, rfx, rfy, dt, mu, lam):
+    """Flat diagonals of the viscous operator: (centre, jacobi).
+
+    `centre` is the diagonal of rho_f*I - dt*mu*Lap_noslip, with the
+    sign-flip ghost of the tangential walls folded in; it is zero on the
+    pinned wall-normal faces and the ghosts, so the matvec leaves them
+    zero.  `jacobi` adds the grad-div centre dt*(mu+lam)*2/h^2, giving the
+    diagonal of the whole operator; it is 1 on the pinned faces and the
+    ghosts, where the residual is held at zero.
+    """
+    hx2, hy2 = grid.hx ** 2, grid.hy ** 2
+    cx, cy = dt * mu / hx2, dt * mu / hy2
+    centre = _face_vector(grid, rfx + 2.0 * (cx + cy), rfy + 2.0 * (cx + cy))
+    dx, dy = _faces(centre, grid)
+    dx[:, 0] += cy
+    dx[:, -2] += cy
+    dy[0, :] += cx
+    dy[-1, :] += cx
+    dx[0, :] = dx[-1, :] = 0.0
+    dy[:, 0] = dy[:, -1] = 0.0
+
+    jacobi = centre.copy()
+    jx, jy = _faces(jacobi, grid)
+    jx[1:-1, :-1] += dt * (mu + lam) * 2.0 / hx2
+    jy[:, 1:-1] += dt * (mu + lam) * 2.0 / hy2
+    jx[0, :] = jx[-1, :] = jx[:, -1] = 1.0
+    jy[:, 0] = jy[:, -1] = 1.0
+    return centre, jacobi
+
+
+def _viscous_work(grid):
+    n = (2 * grid.nx + 1) * (grid.ny + 1)
+    cells = grid.nx * (grid.ny + 1)
+    return np.empty(n), np.empty(n), np.empty(cells), np.empty(cells)
+
+
+def _viscous_matvec(grid, centre, dt, mu, lam, u, out=None, work=None):
     """rho_f*u - dt*(mu*Lap_noslip(u) + (mu+lam)*grad(div u)), fused.
 
-    Single pass per component with a shared div field; identical result
-    to composing laplacian_velocity_noslip and grad_div_velocity.
+    `u` and `out` are flat face vectors (see _face_vector), `centre`
+    comes from _viscous_diagonals.  div u is formed once; every term is
+    a contiguous in-place update of `out` and the `work` buffers
+    (allocated when not given).  Equal, up to round-off, to composing
+    laplacian_velocity_noslip and grad_div_velocity; the wall-normal
+    faces and ghosts of `out` are zero.  Returns the (nx+1, ny) x-face
+    and (nx, ny+1) y-face views of `out`.
     """
-    hx, hy = grid.hx, grid.hy
-    hx2, hy2 = hx * hx, hy * hy
-    div = (ux[1:, :] - ux[:-1, :]) / hx + (uy[:, 1:] - uy[:, :-1]) / hy
+    if out is None:
+        out = np.empty_like(u)
+    if work is None:
+        work = _viscous_work(grid)
+    sx, sy, div, g = work
+    L = grid.ny + 1
+    n = (grid.nx + 1) * L
+    ux, uy, ox, oy = u[:n], u[n:], out[:n], out[n:]
 
-    ax = np.zeros_like(ux)
-    lapx = (ux[2:, :] - 2.0 * ux[1:-1, :] + ux[:-2, :]) / hx2
-    lapx[:, 0] += (ux[1:-1, 1] - 3.0 * ux[1:-1, 0]) / hy2
-    lapx[:, -1] += (ux[1:-1, -2] - 3.0 * ux[1:-1, -1]) / hy2
-    lapx[:, 1:-1] += (ux[1:-1, 2:] - 2.0 * ux[1:-1, 1:-1] + ux[1:-1, :-2]) / hy2
-    ax[1:-1, :] = (
-        rfx[1:-1, :] * ux[1:-1, :]
-        - dt * (mu * lapx + (mu + lam) * (div[1:, :] - div[:-1, :]) / hx)
-    )
+    # div u on cells stored like y faces; the last column is junk that
+    # only reaches outputs zeroed below
+    np.subtract(ux[L:], ux[:-L], out=div)
+    div *= 1.0 / grid.hx
+    np.subtract(uy[1:], uy[:-1], out=g[:-1])
+    g[-1] = 0.0
+    g *= 1.0 / grid.hy
+    div += g
 
-    ay = np.zeros_like(uy)
-    lapy = (uy[:, 2:] - 2.0 * uy[:, 1:-1] + uy[:, :-2]) / hy2
-    lapy[0, :] += (uy[1, 1:-1] - 3.0 * uy[0, 1:-1]) / hx2
-    lapy[-1, :] += (uy[-2, 1:-1] - 3.0 * uy[-1, 1:-1]) / hx2
-    lapy[1:-1, :] += (uy[2:, 1:-1] - 2.0 * uy[1:-1, 1:-1] + uy[:-2, 1:-1]) / hx2
-    ay[:, 1:-1] = (
-        rfy[:, 1:-1] * uy[:, 1:-1]
-        - dt * (mu * lapy + (mu + lam) * (div[:, 1:] - div[:, :-1]) / hy)
-    )
-    return ax, ay
+    np.multiply(centre, u, out=out)
+    np.multiply(u, dt * mu / grid.hx ** 2, out=sx)
+    np.multiply(u, dt * mu / grid.hy ** 2, out=sy)
 
+    # interior x faces, rows 1..nx-1
+    oi = ox[L:-L]
+    oi -= sx[2 * L:n]
+    oi -= sx[:n - 2 * L]
+    oi -= sy[L + 1:n - L + 1]
+    oi -= sy[L - 1:n - L - 1]
+    np.multiply(div, dt * (mu + lam) / grid.hx, out=g)
+    oi -= g[L:]
+    oi += g[:-L]
 
-def _viscous_diag(grid, rfx, rfy, dt, mu, lam):
-    hx2, hy2 = grid.hx ** 2, grid.hy ** 2
-    dx = rfx + dt * (mu * (2.0 / hx2 + 2.0 / hy2) + (mu + lam) * 2.0 / hx2)
-    dx = dx * np.ones_like(rfx)
-    dx[:, 0] += dt * mu / hy2  # sign-flip ghost strengthens the wall rows
-    dx[:, -1] += dt * mu / hy2
-    dy = rfy + dt * (mu * (2.0 / hx2 + 2.0 / hy2) + (mu + lam) * 2.0 / hy2)
-    dy = dy * np.ones_like(rfy)
-    dy[0, :] += dt * mu / hx2
-    dy[-1, :] += dt * mu / hx2
-    return dx, dy
+    # y faces
+    sxy, syy = sx[n:], sy[n:]
+    oy[L:] -= sxy[:-L]
+    oy[:-L] -= sxy[L:]
+    oy[1:] -= syy[:-1]
+    oy[:-1] -= syy[1:]
+    np.multiply(div, dt * (mu + lam) / grid.hy, out=g)
+    oy[1:] -= g[1:]
+    oy[1:] += g[:-1]
+
+    fx, fy = _faces(out, grid)
+    fx[:, -1] = 0.0
+    fy[:, ::grid.ny] = 0.0
+    return fx[:, :-1], fy
 
 
 def _viscous_solve(grid, rfx, rfy, mx, my, dt, mu, lam, guess, tol=1e-10):
     """Solve (rho_f*I - dt*(mu*Lap + (mu+lam)*grad div)) u = m, no-slip.
 
     The operator is symmetric positive definite in the plain face inner
-    product (uniform mesh), so Jacobi-preconditioned CG applies.
-    Returns (ux, uy, iterations).
+    product (uniform mesh), so Jacobi-preconditioned CG applies, on one
+    flat face vector starting from `guess`.  The wall-normal faces are
+    pinned to zero.  Returns (ux, uy, iterations).
     """
     max_iter = 10 * (grid.nx + grid.ny)
-    dgx, dgy = _viscous_diag(grid, rfx, rfy, dt, mu, lam)
+    centre, jacobi = _viscous_diagonals(grid, rfx, rfy, dt, mu, lam)
+    work = _viscous_work(grid)
 
-    bx, by = mx, my
-    bnorm = float(np.sqrt(np.sum(bx * bx) + np.sum(by * by)))
-    if bnorm == 0.0:
-        return np.zeros_like(mx), np.zeros_like(my), 0
-
-    ux, uy = guess
-    ux = ux.copy()
-    uy = uy.copy()
-    ax, ay = _viscous_matvec(grid, rfx, rfy, dt, mu, lam, ux, uy)
-    rx = bx - ax
-    ry = by - ay
-    rx[0, :] = 0.0
-    rx[-1, :] = 0.0
-    ry[:, 0] = 0.0
-    ry[:, -1] = 0.0
-    zx = rx / dgx
-    zy = ry / dgy
-    px, py = zx.copy(), zy.copy()
-    rz = float(np.sum(rx * zx) + np.sum(ry * zy))
-    it = 0
-    while np.sqrt(np.sum(rx * rx) + np.sum(ry * ry)) > tol * bnorm:
-        if it >= max_iter:
-            raise LinearSolveDivergence(
-                f"viscous CG stalled after {it} iterations"
-            )
-        apx, apy = _viscous_matvec(grid, rfx, rfy, dt, mu, lam, px, py)
-        alpha = rz / float(np.sum(px * apx) + np.sum(py * apy))
-        ux += alpha * px
-        uy += alpha * py
-        rx -= alpha * apx
-        ry -= alpha * apy
-        zx = rx / dgx
-        zy = ry / dgy
-        rz_new = float(np.sum(rx * zx) + np.sum(ry * zy))
-        beta = rz_new / rz
-        px = zx + beta * px
-        py = zy + beta * py
-        rz = rz_new
-        it += 1
-
-    ux[0, :] = 0.0
-    ux[-1, :] = 0.0
-    uy[:, 0] = 0.0
-    uy[:, -1] = 0.0
+    b = _face_vector(grid, mx, my)
+    bx, by = _faces(b, grid)
+    bx[0, :] = bx[-1, :] = 0.0
+    by[:, 0] = by[:, -1] = 0.0
+    x = _face_vector(grid, *guess)
+    it = _cg(
+        "viscous",
+        lambda v, out: _viscous_matvec(grid, centre, dt, mu, lam, v, out, work),
+        b, x, tol, max_iter, jacobi,
+    )
+    xx, xy = _faces(x, grid)
+    ux, uy = xx[:, :-1].copy(), xy.copy()
+    ux[0, :] = ux[-1, :] = 0.0
+    uy[:, 0] = uy[:, -1] = 0.0
     return ux, uy, it
 
 

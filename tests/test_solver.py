@@ -1,11 +1,17 @@
 """Solver-level contracts: pressure closure, CFL control, the implicit
-solves against closed-form eigenmodes, and the per-step invariants
-(fixed point, conservation, envelope, positivity, symmetry)."""
+solves against closed-form eigenmodes and dense oracles, their named
+failures, their independence of the BLAS thread count, and the per-step
+invariants (fixed point, conservation, envelope, positivity, symmetry)."""
+
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
+import mhd2d
 from mhd2d.config import Config
 from mhd2d.core import (
     InitialDataSpec,
@@ -26,11 +32,16 @@ from mhd2d.operators import (
     face_average_x,
     face_average_y,
     grad_div_velocity,
+    laplacian_neumann,
     laplacian_velocity_noslip,
 )
 from mhd2d.solver import (
     Sources,
+    _face_vector,
+    _faces,
+    _viscous_diagonals,
     _viscous_matvec,
+    _viscous_solve,
     implicit_diffusion_solve,
     pressure_total,
     run,
@@ -199,7 +210,8 @@ def test_viscous_matvec_matches_operator_composition():
     refy = rfy * uy - dt * (mu * lap.y + (mu + lam) * gd.y)
     refx[0, :] = refx[-1, :] = 0.0
     refy[:, 0] = refy[:, -1] = 0.0
-    ax, ay = _viscous_matvec(g, rfx, rfy, dt, mu, lam, ux, uy)
+    centre, _ = _viscous_diagonals(g, rfx, rfy, dt, mu, lam)
+    ax, ay = _viscous_matvec(g, centre, dt, mu, lam, _face_vector(g, ux, uy))
     assert np.abs(ax - refx).max() < 1e-13
     assert np.abs(ay - refy).max() < 1e-13
 
@@ -219,14 +231,229 @@ def test_viscous_operator_symmetric():
         uy[:, 0] = uy[:, -1] = 0.0
         return ux, uy
 
+    centre, _ = _viscous_diagonals(g, rfx, rfy, 0.01, 0.2, 0.05)
     for _ in range(10):
         u1, v1 = rand_u()
         u2, v2 = rand_u()
-        a1x, a1y = _viscous_matvec(g, rfx, rfy, 0.01, 0.2, 0.05, u1, v1)
-        a2x, a2y = _viscous_matvec(g, rfx, rfy, 0.01, 0.2, 0.05, u2, v2)
+        a1x, a1y = _viscous_matvec(g, centre, 0.01, 0.2, 0.05, _face_vector(g, u1, v1))
+        a2x, a2y = _viscous_matvec(g, centre, 0.01, 0.2, 0.05, _face_vector(g, u2, v2))
         lhs = np.sum(u2 * a1x) + np.sum(v2 * a1y)
         rhs = np.sum(u1 * a2x) + np.sum(v1 * a2y)
         assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
+
+
+# ------------------------------------------------------------------
+# dense oracles: the composed operators probed with unit vectors
+# ------------------------------------------------------------------
+
+def oracle_grid():
+    # non-square cells on a non-square domain
+    return build_grid(params(nx=9, ny=7, Lx=1.3, Ly=0.8))
+
+
+def dense_viscous(g, rfx, rfy, dt, mu, lam):
+    """rho_f*I - dt*(mu*Lap + (mu+lam)*grad div) on the interior faces, with
+    the pack/unpack maps between interior-face vectors and face fields."""
+    nux = (g.nx - 1) * g.ny
+    n = nux + g.nx * (g.ny - 1)
+
+    def unpack(v):
+        ux = np.zeros((g.nx + 1, g.ny))
+        uy = np.zeros((g.nx, g.ny + 1))
+        ux[1:-1, :] = v[:nux].reshape(g.nx - 1, g.ny)
+        uy[:, 1:-1] = v[nux:].reshape(g.nx, g.ny - 1)
+        return ux, uy
+
+    def pack(ax, ay):
+        return np.concatenate((ax[1:-1, :].ravel(), ay[:, 1:-1].ravel()))
+
+    A = np.empty((n, n))
+    for k in range(n):
+        ux, uy = unpack(np.eye(1, n, k)[0])
+        lap = laplacian_velocity_noslip(g, ux, uy)
+        gd = grad_div_velocity(g, ux, uy)
+        A[:, k] = pack(
+            rfx * ux - dt * (mu * lap.x + (mu + lam) * gd.x),
+            rfy * uy - dt * (mu * lap.y + (mu + lam) * gd.y),
+        )
+    return A, pack, unpack
+
+
+def oracle_viscous_case():
+    g = oracle_grid()
+    rng = np.random.default_rng(21)
+    rho = 1.0 + 0.6 * rng.random((g.nx, g.ny))
+    rfx, rfy = face_average_x(rho), face_average_y(rho)
+    dt, mu, lam = 0.02, 0.3, 0.17
+    return g, rng, rfx, rfy, dt, mu, lam
+
+
+def test_viscous_solve_matches_dense_oracle():
+    g, rng, rfx, rfy, dt, mu, lam = oracle_viscous_case()
+    A, pack, unpack = dense_viscous(g, rfx, rfy, dt, mu, lam)
+    m = rng.standard_normal(A.shape[0])
+    mx, my = unpack(m)
+    guess = unpack(0.1 * rng.standard_normal(A.shape[0]))
+    ux, uy, it = _viscous_solve(g, rfx, rfy, mx, my, dt, mu, lam, guess=guess)
+    ref = np.linalg.solve(A, m)
+    assert it > 0
+    assert np.linalg.norm(pack(ux, uy) - ref) <= 1e-8 * np.linalg.norm(ref)
+    assert np.all(ux[0, :] == 0.0) and np.all(ux[-1, :] == 0.0)
+    assert np.all(uy[:, 0] == 0.0) and np.all(uy[:, -1] == 0.0)
+
+
+def test_viscous_jacobi_diagonal_matches_dense_oracle():
+    g, _rng, rfx, rfy, dt, mu, lam = oracle_viscous_case()
+    A, pack, _unpack = dense_viscous(g, rfx, rfy, dt, mu, lam)
+    _centre, jacobi = _viscous_diagonals(g, rfx, rfy, dt, mu, lam)
+    jx, jy = _faces(jacobi, g)
+    ref = np.diag(A)
+    assert np.abs(pack(jx[:, :-1], jy) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_diffusion_solve_matches_dense_oracle(bc):
+    g = oracle_grid()
+    n = g.nx * g.ny
+    lap = np.empty((n, n))
+    for k in range(n):
+        lap[:, k] = laplacian_neumann(g, np.eye(1, n, k)[0].reshape(g.nx, g.ny)).ravel()
+    if bc == "dirichlet":
+        # a sign-flip ghost (zero wall value) where the mirror ghost had
+        # zero flux: -2 q/h^2 more per wall the cell touches
+        wall = np.zeros((g.nx, g.ny))
+        wall[[0, -1], :] += 2.0 / g.hx ** 2
+        wall[:, [0, -1]] += 2.0 / g.hy ** 2
+        lap -= np.diag(wall.ravel())
+    coef, dt = 0.4, 0.03
+    q = 1.0 + np.random.default_rng(22).random((g.nx, g.ny))
+    ref = np.linalg.solve(np.eye(n) - coef * dt * lap, q.ravel()).reshape(q.shape)
+    out = implicit_diffusion_solve(g, q, coef, dt, bc=bc)
+    assert np.linalg.norm(out - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+# ------------------------------------------------------------------
+# failures of the implicit solves are loud and named
+# ------------------------------------------------------------------
+
+def viscous_problem(n=12):
+    g = build_grid(params(nx=n, ny=n))
+    rng = np.random.default_rng(5)
+    rho = 1.0 + rng.random((g.nx, g.ny))
+    mx = rng.standard_normal((g.nx + 1, g.ny))
+    my = rng.standard_normal((g.nx, g.ny + 1))
+    mx[0, :] = mx[-1, :] = 0.0
+    my[:, 0] = my[:, -1] = 0.0
+    guess = (np.zeros_like(mx), np.zeros_like(my))
+    return g, face_average_x(rho), face_average_y(rho), mx, my, guess
+
+
+def test_viscous_solve_nan_rhs_raises():
+    # the residual test `sqrt(rr) > tol*bnorm` is False for NaN, so an
+    # unguarded CG returns its initial guess, finite, after 0 iterations
+    g, rfx, rfy, mx, my, guess = viscous_problem()
+    mx[4, 5] = np.nan
+    with pytest.raises(LinearSolveDivergence, match=r"^viscous CG: right-hand side is not finite"):
+        _viscous_solve(g, rfx, rfy, mx, my, 0.01, 0.1, 0.0, guess=guess)
+
+
+def test_viscous_solve_nan_guess_raises_on_residual():
+    g, rfx, rfy, mx, my, (gx, gy) = viscous_problem()
+    gy[3, 3] = np.nan
+    with pytest.raises(
+        LinearSolveDivergence, match=r"^viscous CG: residual is not finite after 0 iterations$"
+    ):
+        _viscous_solve(g, rfx, rfy, mx, my, 0.01, 0.1, 0.0, guess=(gx, gy))
+
+
+def test_viscous_solve_breakdown_raises():
+    # a negative face density makes the operator indefinite: p.Ap < 0
+    g, rfx, rfy, mx, my, guess = viscous_problem()
+    with pytest.raises(
+        LinearSolveDivergence, match=r"^viscous CG breakdown at iteration 0: p\.Ap = -.* is not positive$"
+    ):
+        _viscous_solve(g, -rfx, -rfy, mx, my, 1e-3, 0.1, 0.0, guess=guess)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_diffusion_solve_nonfinite_rhs_raises(value):
+    # unguarded, an inf or NaN in q comes back as an all-NaN field
+    g = build_grid(params(nx=8, ny=8))
+    q = 1.0 + np.random.default_rng(3).random((g.nx, g.ny))
+    q[2, 6] = value
+    with pytest.raises(LinearSolveDivergence, match=r"^diffusion CG: right-hand side is not finite"):
+        implicit_diffusion_solve(g, q, 0.5, 0.1)
+
+
+def test_diffusion_solve_stall_message():
+    g = build_grid(params(nx=8, ny=8))
+    q = np.random.default_rng(1).random((g.nx, g.ny))
+    with pytest.raises(LinearSolveDivergence, match=r"^diffusion CG stalled after 1 iterations, residual "):
+        implicit_diffusion_solve(g, q, 10.0, 10.0, max_iter=1)
+
+
+@pytest.mark.parametrize(
+    "field, solve", [("ux", "viscous"), ("rho", "diffusion")]
+)
+def test_step_nonfinite_source_names_the_solve(field, solve):
+    # a NaN force used to come back as the unchanged velocity guess, an inf
+    # mass source as a NaN density reported as PositivityLoss
+    p = params(nx=12, ny=12, eps=1e-2, delta=1e-2)
+    g = build_grid(p)
+    s = constant_state(g)
+
+    def bad_sources(grid, t):
+        src = Sources(
+            rho=np.zeros((grid.nx, grid.ny)),
+            b=np.zeros((grid.nx, grid.ny)),
+            ux=np.zeros((grid.nx + 1, grid.ny)),
+            uy=np.zeros((grid.nx, grid.ny + 1)),
+        )
+        getattr(src, field)[5, 5] = np.nan if field == "ux" else np.inf
+        return src
+
+    with pytest.raises(LinearSolveDivergence, match=f"^{solve} CG: right-hand side is not finite"):
+        step(s, p, g, sources=bad_sources)
+
+
+# ------------------------------------------------------------------
+# BLAS thread count
+# ------------------------------------------------------------------
+
+BLAS_PROBE = """
+import hashlib
+import numpy as np
+from mhd2d.config import Config
+from mhd2d.core import InitialDataSpec, SimulationParams, validate_params
+from mhd2d.solver import run
+
+p = validate_params(SimulationParams(nx=128, ny=128, eps=1e-2, delta=1e-2, t_final=1.0))
+spec = InitialDataSpec(kind="ratio-profile", rho_amp=0.1, kx=1, ky=1,
+                       ratio_mid=1.25, ratio_amp=0.75, jx=1, jy=0)
+traj, series = run(Config(params=p, init=spec), max_steps=3)
+s = traj.states[-1]
+h = hashlib.sha256()
+for f in (s.rho, s.b, s.ux, s.uy):
+    h.update(np.ascontiguousarray(f).tobytes())
+print(series.metadata["steps"], h.hexdigest())
+"""
+
+
+def test_run_bit_identical_across_blas_thread_counts():
+    # a dot product routed through threaded BLAS splits its sum by thread
+    # count; the solver must give the same bits pinned and unpinned
+    src = os.path.dirname(os.path.dirname(mhd2d.__file__))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.split())
+    assert out[0][0] == "3"
+    assert out[0] == out[1]
 
 
 # ------------------------------------------------------------------
