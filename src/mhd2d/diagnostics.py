@@ -168,7 +168,11 @@ def dissipation_rate(state: State, params: SimulationParams, grid: Grid) -> floa
                + delta*Gamma*(rho+b)^(Gamma-2)|grad(rho+b)|^2 ).
     Nonnegative; zero iff u == 0 and (when eps > 0) rho, b constant.
     """
-    grad_sq, div_sq = velocity_gradient_sq_integral(state, grid)
+    return _dissipation_rate(state, params, grid, *velocity_gradient_sq_integral(state, grid))
+
+
+def _dissipation_rate(state, params, grid, grad_sq, div_sq) -> float:
+    """dissipation_rate given the two velocity-gradient integrals."""
     d = params.mu * grad_sq + (params.mu + params.lam) * div_sq
     if params.eps > 0.0:
         rho, b = state.rho, state.b
@@ -668,20 +672,32 @@ def composition_defect(traj_a, traj_b, p: float = 2.0, component: str = "rho") -
 # Per-record assembly
 # ------------------------------------------------------------------
 
-def record_state(state: State, params: SimulationParams, grid: Grid) -> DiagnosticsRecord:
-    """One row of the functional time series."""
+def record_state(
+    state: State,
+    params: SimulationParams,
+    grid: Grid,
+    *,
+    energy: float | None = None,
+    ratio: tuple[float, float] | None = None,
+) -> DiagnosticsRecord:
+    """One row of the functional time series.
+
+    `energy` and `ratio`, when given, are total_energy and ratio_bounds of
+    this very state computed earlier (run() carries them from the step
+    that produced it); they are used instead of being computed again.
+    """
     rho, b = state.rho, state.b
     area = grid.cell_area
-    rmin, rmax = ratio_bounds(state)
-    grad_sq, _div_sq = velocity_gradient_sq_integral(state, grid)
+    rmin, rmax = ratio_bounds(state) if ratio is None else ratio
+    grad_sq, div_sq = velocity_gradient_sq_integral(state, grid)
     if params.delta > 0.0:
         dp = float(np.sum(params.delta * (rho + b) ** params.Gamma)) * area
     else:
         dp = 0.0
     return DiagnosticsRecord(
         t=state.t,
-        energy=total_energy(state, params, grid),
-        dissipation=dissipation_rate(state, params, grid),
+        energy=total_energy(state, params, grid) if energy is None else energy,
+        dissipation=_dissipation_rate(state, params, grid, grad_sq, div_sq),
         mass_rho=float(np.sum(rho)) * area,
         mass_b=float(np.sum(b)) * area,
         ratio_min=rmin,

@@ -76,6 +76,7 @@ class StepReport:
     energy_before: float
     energy_after: float
     linear_solver_iters: int
+    ratio_after: tuple[float, float]  # ratio_bounds of the new state
 
 
 @dataclass
@@ -96,6 +97,13 @@ class Trajectory:
 # Time-step control
 # ------------------------------------------------------------------
 
+def _time_resolution(t: float) -> float:
+    """Smallest time difference resolved near time t: run() treats two times
+    closer than _time_resolution(t_final) as one, and stable_dt rejects a
+    step shorter than _time_resolution of the time it starts from."""
+    return 1e-12 * max(1.0, abs(t))
+
+
 def stable_dt(state: State, params: SimulationParams, grid: Grid) -> float:
     """CFL-limited step from the advective and acoustic speeds.
 
@@ -105,7 +113,11 @@ def stable_dt(state: State, params: SimulationParams, grid: Grid) -> float:
     viscosity are implicit, so they impose no h^2 restriction; dt_max,
     when set, caps the result.  Raises DegenerateState, naming the
     offending fields, if the result is not finite (a NaN or inf in the
-    state would otherwise slip past every later dt check).
+    state would otherwise slip past every later dt check), and also if,
+    before the dt_max cap, it falls below the time resolution at state.t:
+    such steps would never bring a run to t_final.  (The floor follows the
+    current time, not t_final, because a huge t_final with a step budget
+    is how an open-ended run is asked for.)
     """
     rho_min = float(state.rho.min())
     if rho_min <= 0.0:
@@ -122,6 +134,13 @@ def stable_dt(state: State, params: SimulationParams, grid: Grid) -> float:
         bad = [f for f in ("rho", "b", "ux", "uy") if not np.isfinite(getattr(state, f)).all()]
         raise DegenerateState(
             f"stable_dt is not finite (dt={dt}); non-finite values in {', '.join(bad)}"
+        )
+    floor = _time_resolution(state.t)
+    if dt < floor:
+        umag = max(float(np.abs(state.ux).max()), float(np.abs(state.uy).max()))
+        raise DegenerateState(
+            f"CFL time step collapsed: dt={dt:.3g} is below the time resolution "
+            f"{floor:.3g} at t={state.t:.6g} (max |u| = {umag:.3g})"
         )
     if params.dt_max is not None:
         dt = min(dt, params.dt_max)
@@ -445,12 +464,18 @@ def step(
     grid: Grid,
     dt_cap: float | None = None,
     sources: Callable[[Grid, float], Sources] | None = None,
+    *,
+    energy_before: float | None = None,
+    ratio_before: tuple[float, float] | None = None,
 ) -> tuple[State, StepReport]:
     """Advance one split step; see the module docstring for the stages.
 
-    Raises PositivityLoss (with a diagnostic dump in the message) if rho
-    or b leaves the positive cone, and LinearSolveDivergence from the
-    implicit stages.
+    `energy_before` and `ratio_before`, when given, are total_energy and
+    ratio_bounds of `state` computed earlier (run() passes the previous
+    step's energy_after and ratio_after); they are used instead of being
+    computed again.  Raises PositivityLoss (with a diagnostic dump in the
+    message) if rho or b leaves the positive cone, DegenerateState from
+    stable_dt, and LinearSolveDivergence from the implicit stages.
     """
     from .diagnostics import ratio_bounds, total_energy
 
@@ -462,8 +487,9 @@ def step(
 
     rho, b, ux, uy = state.rho, state.b, state.ux, state.uy
     scheme = params.advect_scheme
-    energy_before = total_energy(state, params, grid)
-    rmin0, rmax0 = ratio_bounds(state)
+    if energy_before is None:
+        energy_before = total_energy(state, params, grid)
+    rmin0, rmax0 = ratio_bounds(state) if ratio_before is None else ratio_before
     src = sources(grid, state.t) if sources is not None else None
     iters = 0
 
@@ -522,6 +548,7 @@ def step(
         energy_before=energy_before,
         energy_after=energy_after,
         linear_solver_iters=iters,
+        ratio_after=(rmin1, rmax1),
     )
     return new_state, report
 
@@ -588,11 +615,15 @@ def run(
     if record_times is not None:
         rts = [t for t in sorted(float(t) for t in record_times) if t > 0.0]
 
-    series.append(record_state(state, params, grid))
+    first = record_state(state, params, grid)
+    series.append(first)
     traj.append(state)
+    # total_energy and ratio_bounds of the current state, each computed once
+    # per state and handed on to the next step and to its record
+    energy, ratio = first.energy, (first.ratio_min, first.ratio_max)
 
     t_final = params.t_final
-    tiny = 1e-12 * max(1.0, abs(t_final))
+    tiny = _time_resolution(t_final)
     steps = 0
     try:
         while t_final - state.t > tiny and (max_steps is None or steps < max_steps):
@@ -602,7 +633,9 @@ def run(
                     rts.pop(0)
                 if rts and rts[0] < target:
                     target = rts[0]
-            state, rep = step(state, params, grid, dt_cap=target - state.t, sources=sources)
+            state, rep = step(state, params, grid, dt_cap=target - state.t, sources=sources,
+                              energy_before=energy, ratio_before=ratio)
+            energy, ratio = rep.energy_after, rep.ratio_after
             if abs(state.t - target) <= 4.0 * tiny:
                 state = replace(state, t=target)
             steps += 1
@@ -616,16 +649,16 @@ def run(
             )
             if record_times is not None:
                 if state.t == target and target != t_final:
-                    series.append(record_state(state, params, grid))
+                    series.append(record_state(state, params, grid, energy=energy, ratio=ratio))
                     traj.append(state)
             else:
                 if steps % config.record_interval == 0:
-                    series.append(record_state(state, params, grid))
+                    series.append(record_state(state, params, grid, energy=energy, ratio=ratio))
                 if steps % config.snapshot_interval == 0:
                     traj.append(state)
         # terminal record/snapshot, unless the loop already emitted one
         if not series.records or series.records[-1].t != state.t:
-            series.append(record_state(state, params, grid))
+            series.append(record_state(state, params, grid, energy=energy, ratio=ratio))
         if not traj.times or traj.times[-1] != state.t:
             traj.append(state)
         series.metadata["steps"] = steps

@@ -3,12 +3,15 @@
 Manufactured solutions are sympy expressions in (x, y, t); their exact
 symbolic derivatives build the source fields that make the chosen
 closed form solve the regularized system, so grid-refinement studies
-expose the scheme's convergence order.  The sweeps run the solver over
-decreasing eps (at fixed delta) and decreasing delta, on identical
-initial data and a shared record-time grid, and report the Cauchy-type
-distances, composition defects and vanishing-term norms whose decay is
-the checkable trace of the continuous limit passages.  No rate targets
-are asserted here; sweeps report what they observe.
+expose the scheme's convergence order.  sympy is imported only by the
+code that builds these expressions, so the solver, the diagnostics and
+the sweeps run (and `import mhd2d` completes) without loading it.  The
+sweeps run the solver over decreasing eps (at fixed delta) and
+decreasing delta, on identical initial data and a shared record-time
+grid, and report the Cauchy-type distances, composition defects and
+vanishing-term norms whose decay is the checkable trace of the
+continuous limit passages.  No rate targets are asserted here; sweeps
+report what they observe.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import sympy as sp
 
 from .config import Config
 from .core import Grid, SimulationParams, State, build_grid, init_state, validate_params
@@ -40,7 +42,25 @@ __all__ = [
     "richardson_order",
 ]
 
-_X, _Y, _T = sp.symbols("x y t", real=True)
+
+def _symbols():
+    """The real (x, y, t) symbols every manufactured expression is written in."""
+    import sympy as sp
+
+    return sp.symbols("x y t", real=True)
+
+
+def _eval_sites(fn, x, y, t):
+    """fn on the tensor grid x (n,) by y (m,) as an (n, m) array.
+
+    The formula is evaluated on an (n, 1) column and a (1, m) row, so each
+    factor depending on one coordinate only is computed on n or m points
+    and broadcast in the products; results broadcast to the full shape,
+    which a constant expression also needs.
+    """
+    out = np.asarray(fn(x[:, None], y[None, :], t), dtype=float)
+    shape = (x.size, y.size)
+    return np.broadcast_to(out, shape).copy() if out.shape != shape else out
 
 
 # ------------------------------------------------------------------
@@ -57,23 +77,20 @@ class ManufacturedSolution:
     """
 
     def __init__(self, rho, b, ux, uy):
+        import sympy as sp
+
         self.exprs = {"rho": sp.sympify(rho), "b": sp.sympify(b),
                       "ux": sp.sympify(ux), "uy": sp.sympify(uy)}
-        self._fn = {k: sp.lambdify((_X, _Y, _T), e, "numpy") for k, e in self.exprs.items()}
-
-    def _eval(self, name, X, Y, t):
-        out = np.asarray(self._fn[name](X, Y, t), dtype=float)
-        return np.broadcast_to(out, X.shape).copy() if out.shape != X.shape else out
+        xyt = _symbols()
+        self._fn = {k: sp.lambdify(xyt, e, "numpy") for k, e in self.exprs.items()}
 
     def sample(self, grid: Grid, t: float) -> State:
         """Fields sampled at their native grid sites; no-slip re-pinned exactly."""
-        Xc, Yc = grid.center_mesh()
-        Xfx, Yfx = grid.xface_mesh()
-        Xfy, Yfy = grid.yface_mesh()
-        rho = self._eval("rho", Xc, Yc, t)
-        b = self._eval("b", Xc, Yc, t)
-        ux = self._eval("ux", Xfx, Yfx, t)
-        uy = self._eval("uy", Xfy, Yfy, t)
+        xc, yc = grid.xc, grid.yc
+        rho = _eval_sites(self._fn["rho"], xc, yc, t)
+        b = _eval_sites(self._fn["b"], xc, yc, t)
+        ux = _eval_sites(self._fn["ux"], grid.xf, yc, t)
+        uy = _eval_sites(self._fn["uy"], xc, grid.yf, t)
         ux[0, :] = 0.0
         ux[-1, :] = 0.0
         uy[:, 0] = 0.0
@@ -84,11 +101,14 @@ class ManufacturedSolution:
 def default_manufactured_solution(Lx: float = 1.0, Ly: float = 1.0) -> ManufacturedSolution:
     """Smooth positive cosine scalars with different amplitudes (so b/rho
     varies) and a decaying sin*sin velocity."""
-    cx = sp.cos(sp.pi * _X / Lx)
-    cy = sp.cos(sp.pi * _Y / Ly)
-    sx = sp.sin(sp.pi * _X / Lx)
-    sy = sp.sin(sp.pi * _Y / Ly)
-    decay = sp.exp(-_T)
+    import sympy as sp
+
+    x, y, t = _symbols()
+    cx = sp.cos(sp.pi * x / Lx)
+    cy = sp.cos(sp.pi * y / Ly)
+    sx = sp.sin(sp.pi * x / Lx)
+    sy = sp.sin(sp.pi * y / Ly)
+    decay = sp.exp(-t)
     return ManufacturedSolution(
         rho=1 + sp.Rational(1, 5) * cx * cy * decay,
         b=1 + sp.Rational(3, 20) * cx * cy * decay,
@@ -112,8 +132,12 @@ def mms_sources(ms: ManufacturedSolution, params: SimulationParams):
     common-subexpression elimination (lambdify cse=True), which shares
     the repeated derivative terms at evaluation time, and without
     sp.simplify, whose seconds of symbolic work per call buy nothing
-    numerically.
+    numerically.  The compiled formulas are evaluated on 1-D coordinate
+    columns and rows (see _eval_sites), not on full meshgrids.
     """
+    import sympy as sp
+
+    X, Y, T = _symbols()
     r, b = ms.exprs["rho"], ms.exprs["b"]
     ux, uy = ms.exprs["ux"], ms.exprs["uy"]
     a, g = params.a, params.gamma
@@ -121,11 +145,11 @@ def mms_sources(ms: ManufacturedSolution, params: SimulationParams):
     eps, dlt, G = params.eps, params.delta, params.Gamma
 
     def lap(e):
-        return sp.diff(e, _X, 2) + sp.diff(e, _Y, 2)
+        return sp.diff(e, X, 2) + sp.diff(e, Y, 2)
 
-    div_u = sp.diff(ux, _X) + sp.diff(uy, _Y)
-    s_rho = sp.diff(r, _T) + sp.diff(r * ux, _X) + sp.diff(r * uy, _Y) - eps * lap(r)
-    s_b = sp.diff(b, _T) + sp.diff(b * ux, _X) + sp.diff(b * uy, _Y) - eps * lap(b)
+    div_u = sp.diff(ux, X) + sp.diff(uy, Y)
+    s_rho = sp.diff(r, T) + sp.diff(r * ux, X) + sp.diff(r * uy, Y) - eps * lap(r)
+    s_b = sp.diff(b, T) + sp.diff(b * ux, X) + sp.diff(b * uy, Y) - eps * lap(b)
 
     ptot = a * r ** g + b ** 2 / 2
     if dlt > 0.0:
@@ -133,35 +157,29 @@ def mms_sources(ms: ManufacturedSolution, params: SimulationParams):
 
     def s_mom(uc, axis):
         expr = (
-            sp.diff(r * uc, _T)
-            + sp.diff(r * uc * ux, _X)
-            + sp.diff(r * uc * uy, _Y)
+            sp.diff(r * uc, T)
+            + sp.diff(r * uc * ux, X)
+            + sp.diff(r * uc * uy, Y)
             + sp.diff(ptot, axis)
-            + eps * (sp.diff(r, _X) * sp.diff(uc, _X) + sp.diff(r, _Y) * sp.diff(uc, _Y))
+            + eps * (sp.diff(r, X) * sp.diff(uc, X) + sp.diff(r, Y) * sp.diff(uc, Y))
             - mu * lap(uc)
             - (mu + lam) * sp.diff(div_u, axis)
         )
         return expr
 
-    exprs = {"rho": s_rho, "b": s_b, "ux": s_mom(ux, _X), "uy": s_mom(uy, _Y)}
-    fns = {k: sp.lambdify((_X, _Y, _T), e, "numpy", cse=True) for k, e in exprs.items()}
+    exprs = {"rho": s_rho, "b": s_b, "ux": s_mom(ux, X), "uy": s_mom(uy, Y)}
+    fns = {k: sp.lambdify((X, Y, T), e, "numpy", cse=True) for k, e in exprs.items()}
 
     def evaluate(grid: Grid, t: float) -> Sources:
-        Xc, Yc = grid.center_mesh()
-        Xfx, Yfx = grid.xface_mesh()
-        Xfy, Yfy = grid.yface_mesh()
-
-        def ev(fn, X, Y):
-            out = np.asarray(fn(X, Y, t), dtype=float)
-            return np.broadcast_to(out, X.shape).copy() if out.shape != X.shape else out
-
-        sux = ev(fns["ux"], Xfx, Yfx)
-        suy = ev(fns["uy"], Xfy, Yfy)
+        xc, yc = grid.xc, grid.yc
+        sux = _eval_sites(fns["ux"], grid.xf, yc, t)
+        suy = _eval_sites(fns["uy"], xc, grid.yf, t)
         sux[0, :] = 0.0
         sux[-1, :] = 0.0
         suy[:, 0] = 0.0
         suy[:, -1] = 0.0
-        return Sources(rho=ev(fns["rho"], Xc, Yc), b=ev(fns["b"], Xc, Yc), ux=sux, uy=suy)
+        return Sources(rho=_eval_sites(fns["rho"], xc, yc, t),
+                       b=_eval_sites(fns["b"], xc, yc, t), ux=sux, uy=suy)
 
     return evaluate
 

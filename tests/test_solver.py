@@ -4,6 +4,7 @@ failures, their independence of the BLAS thread count, and the per-step
 invariants (fixed point, conservation, envelope, positivity, symmetry)."""
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import mhd2d
+from mhd2d import diagnostics
 from mhd2d.config import Config
 from mhd2d.core import (
     InitialDataSpec,
@@ -21,7 +23,7 @@ from mhd2d.core import (
     init_state,
     validate_params,
 )
-from mhd2d.diagnostics import ratio_bounds
+from mhd2d.diagnostics import ratio_bounds, record_state
 from mhd2d.errors import (
     DegenerateState,
     LinearSolveDivergence,
@@ -125,6 +127,20 @@ def test_stable_dt_nan_velocity_face_names_field(field):
         stable_dt(s, p, g)
     with pytest.raises(DegenerateState, match=field):
         step(s, p, g)
+
+
+@pytest.mark.parametrize("speed", [1e100, 1e300])
+def test_collapsed_cfl_step_raises_degenerate_state(speed):
+    # a huge but finite velocity shrinks the CFL step below the run's time
+    # resolution; unguarded, the run creeps (1e100) or the overflowing
+    # viscous right-hand side is blamed (1e300)
+    cfg = small_config(t_final=0.01)
+    g = build_grid(cfg.params)
+    s, _ = init_state(g, cfg.init)
+    s.ux[8, 5] = speed
+    msg = r"CFL time step collapsed: dt=\S+ .* at t=0 " + re.escape(f"(max |u| = {speed:.3g})")
+    with np.errstate(over="ignore"), pytest.raises(DegenerateState, match=msg):
+        run(cfg, initial_state=s, max_steps=200)
 
 
 # ------------------------------------------------------------------
@@ -586,6 +602,23 @@ def test_run_record_times_are_hit_exactly():
     traj, series = run(cfg, record_times=times)
     assert traj.times == [0.0] + times
     assert [r.t for r in series.records] == [0.0] + times
+
+
+def test_run_records_equal_record_state_on_stored_states(monkeypatch):
+    # run() hands each state's energy and ratio bounds from its step on to
+    # the next step and to its record: each state's energy is computed once,
+    # and every record equals record_state evaluated afresh
+    cfg = replace(small_config(t_final=0.02), record_interval=1, snapshot_interval=1)
+    calls = []
+    energy = diagnostics.total_energy
+    monkeypatch.setattr(diagnostics, "total_energy", lambda *a: calls.append(a[0]) or energy(*a))
+    traj, series = run(cfg)
+    monkeypatch.undo()
+    steps = series.metadata["steps"]
+    assert steps >= 3 and len(calls) == steps + 1
+    assert len(series.records) == len(traj.states) == steps + 1
+    for rec, st in zip(series.records, traj.states):
+        assert rec == record_state(st, cfg.params, traj.grid)
 
 
 def test_run_max_steps():

@@ -154,6 +154,31 @@ def test_sources_match_simplified_reference_on_nonsquare_grid():
             assert np.abs(got[k] - ref).max() <= tol, (k, t)
 
 
+def _meshgrid_eval(fn, x, y, t):
+    """Reference for verification._eval_sites: the formula on full meshgrids."""
+    Xm, Ym = np.meshgrid(x, y, indexing="ij")
+    out = np.asarray(fn(Xm, Ym, t), dtype=float)
+    return np.broadcast_to(out, Xm.shape).copy() if out.shape != Xm.shape else out
+
+
+def test_broadcast_evaluation_bit_equals_meshgrid_on_nonsquare_grid(monkeypatch):
+    # sources and samples are evaluated on 1-D coordinate columns and rows;
+    # elementwise, that is the same arithmetic as on full meshgrids
+    p = params(nx=33, ny=65, Lx=2.0, Ly=0.7, eps=1e-2, delta=0.05, Gamma=6.0, lam=0.17)
+    g = build_grid(p)
+    ms = default_manufactured_solution(p.Lx, p.Ly)
+    const = ManufacturedSolution(rho=1.0, b=1.5, ux=0.0, uy=0.0)
+    src = mms_sources(ms, p)
+    src_const = mms_sources(const, p)
+    for t in (0.0, 0.013, 0.37):
+        got = [*src(g, t), *src_const(g, t), *vars(ms.sample(g, t)).values()]
+        with monkeypatch.context() as mp:
+            mp.setattr(verification, "_eval_sites", _meshgrid_eval)
+            ref = [*src(g, t), *src_const(g, t), *vars(ms.sample(g, t)).values()]
+        for a, b in zip(got, ref):
+            assert np.shape(a) == np.shape(b) and np.array_equal(a, b), t
+
+
 @pytest.mark.parametrize("dt_max_coeff", [None, 0.5])
 def test_run_mms_builds_sources_once_per_study(monkeypatch, dt_max_coeff):
     built, passed = [], []
