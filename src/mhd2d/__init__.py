@@ -34,7 +34,6 @@ from .diagnostics import (
     record_state,
     renormalized_residual,
     total_energy,
-    transport_invariant_functional,
     weak_residual,
 )
 from .eos import pressure_total, sound_speed_sq
@@ -95,7 +94,6 @@ __all__ = [
     "record_state",
     "renormalized_residual",
     "total_energy",
-    "transport_invariant_functional",
     "weak_residual",
     "pressure_total",
     "sound_speed_sq",

@@ -7,10 +7,7 @@ violated invariant), 2 usage/config errors.
 MHD2D_OUTPUT_DIR overrides the config's output_dir; --output-dir
 overrides both.  --cfl replaces the Courant number *after* validation
 (deliberately unchecked, so `verify --cfl 5.0` can demonstrate how the
-invariant suite catches an unstable run).  --threads caps BLAS-style
-internal thread pools when threadpoolctl is available; results never
-depend on it because every reduction in the package is a fixed-order
-numpy sum.
+invariant suite catches an unstable run).
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ FIXED_POINT_TOL = 1e-13
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mhd2d", description=__doc__)
-    ap.add_argument("--threads", type=int, default=None, help="bound internal thread pools")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -101,14 +97,6 @@ def cli_main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-
-    if args.threads is not None:
-        try:
-            import threadpoolctl
-
-            threadpoolctl.threadpool_limits(args.threads)
-        except ImportError:
-            pass
 
     try:
         if args.command == "inspect":

@@ -15,7 +15,7 @@ from .errors import ParseError, ValidationError
 
 __all__ = ["Config", "parse_config", "parse_config_file", "MODES"]
 
-MODES = ("regularized", "target", "mms", "sweep-eps", "sweep-delta", "verify")
+MODES = ("regularized", "target")
 
 _PARAM_KEYS = {
     # key -> (attribute, converter)
@@ -139,7 +139,7 @@ def parse_config(text: str) -> Config:
             raise ParseError(f"missing required key {required!r}")
 
     mode = ovals.get("mode", "regularized")
-    if mode in ("regularized", "sweep-eps", "sweep-delta", "verify", "mms"):
+    if mode == "regularized":
         pvals.setdefault("eps", 1e-2)
         pvals.setdefault("delta", 1e-2)
     elif mode == "target":

@@ -9,7 +9,7 @@ parameters are enforced here, once, so downstream code can assume them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,9 +70,6 @@ class SimulationParams:
     dt_max: float | None = None
     advect_scheme: str = "upwind"
     freeze_velocity: bool = False
-
-    def with_(self, **kw) -> "SimulationParams":
-        return validate_params(replace(self, **kw))
 
 
 def validate_params(raw: SimulationParams) -> SimulationParams:

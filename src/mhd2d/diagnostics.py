@@ -24,8 +24,10 @@ from .errors import GridMismatch, NonpositiveField, SupportNotCovered
 from .operators import (
     FaceField,
     divergence_face_to_cc,
+    eps_gradrho_gradu,
     face_to_center,
     gradient_cc_to_face,
+    node_shear,
 )
 
 __all__ = [
@@ -37,7 +39,6 @@ __all__ = [
     "dissipation_rate",
     "ratio_bounds",
     "convex_fraction_functional",
-    "transport_invariant_functional",
     "log_entropy",
     "log_entropy_comparison",
     "effective_viscous_flux_field",
@@ -136,18 +137,7 @@ def velocity_gradient_sq_integral(state: State, grid: Grid) -> tuple[float, floa
 
     duxdx = (ux[1:, :] - ux[:-1, :]) / hx
     duydy = (uy[:, 1:] - uy[:, :-1]) / hy
-
-    uxg = np.empty((grid.nx + 1, grid.ny + 2))
-    uxg[:, 1:-1] = ux
-    uxg[:, 0] = -ux[:, 0]
-    uxg[:, -1] = -ux[:, -1]
-    duxdy = (uxg[:, 1:] - uxg[:, :-1]) / hy  # at nodes, (nx+1, ny+1)
-
-    uyg = np.empty((grid.nx + 2, grid.ny + 1))
-    uyg[1:-1, :] = uy
-    uyg[0, :] = -uy[0, :]
-    uyg[-1, :] = -uy[-1, :]
-    duydx = (uyg[1:, :] - uyg[:-1, :]) / hx  # at nodes
+    duxdy, duydx = node_shear(grid, ux, uy)
 
     grad_sq = (
         np.sum(duxdx ** 2)
@@ -216,13 +206,6 @@ def convex_fraction_functional(state: State, grid: Grid) -> float:
     if s.min() <= 0.0:
         raise NonpositiveField("fraction functional needs rho + b > 0")
     return float(np.sum(state.rho ** 2 / s)) * grid.cell_area
-
-
-def transport_invariant_functional(state: State, grid: Grid) -> float:
-    """Same integrand as convex_fraction_functional, reported separately
-    for eps = 0 runs where pure transport keeps it invariant up to
-    scheme error."""
-    return convex_fraction_functional(state, grid)
 
 
 def log_entropy(state: State, grid: Grid) -> float:
@@ -522,8 +505,6 @@ def _momentum_weak_residual(traj, test):
         psi = test.psi(st.t)
         dpsi = test.psi_d1(st.t)
         if p.eps > 0.0:
-            from .operators import eps_gradrho_gradu
-
             drag = eps_gradrho_gradu(grid, st.rho, st.ux, st.uy, p.eps)
             dragx, dragy = face_to_center(drag.x, drag.y)
         else:
@@ -553,21 +534,10 @@ def _center_velocity_gradients(grid: Grid, st: State):
     ux, uy = st.ux, st.uy
     duxdx = (ux[1:, :] - ux[:-1, :]) / hx
     duydy = (uy[:, 1:] - uy[:, :-1]) / hy
-
-    uxg = np.empty((grid.nx + 1, grid.ny + 2))
-    uxg[:, 1:-1] = ux
-    uxg[:, 0] = -ux[:, 0]
-    uxg[:, -1] = -ux[:, -1]
-    duxdy_n = (uxg[:, 1:] - uxg[:, :-1]) / hy  # nodes
+    duxdy_n, duydx_n = node_shear(grid, ux, uy)
     duxdy = 0.25 * (
         duxdy_n[:-1, :-1] + duxdy_n[:-1, 1:] + duxdy_n[1:, :-1] + duxdy_n[1:, 1:]
     )
-
-    uyg = np.empty((grid.nx + 2, grid.ny + 1))
-    uyg[1:-1, :] = uy
-    uyg[0, :] = -uy[0, :]
-    uyg[-1, :] = -uy[-1, :]
-    duydx_n = (uyg[1:, :] - uyg[:-1, :]) / hx
     duydx = 0.25 * (
         duydx_n[:-1, :-1] + duydx_n[:-1, 1:] + duydx_n[1:, :-1] + duydx_n[1:, 1:]
     )

@@ -15,20 +15,13 @@ from .errors import NonpositiveField
 __all__ = ["pressure_total", "sound_speed_sq"]
 
 
-def pressure_total(rho, b, params: SimulationParams, allow_zero_b: bool = False) -> np.ndarray:
-    """P = a*rho**gamma + b**2/2 + delta*(rho+b)**Gamma, per cell.
-
-    b == 0 is admitted only in diagnostic mode (allow_zero_b), where the
-    formula degenerates continuously.
-    """
+def pressure_total(rho, b, params: SimulationParams) -> np.ndarray:
+    """P = a*rho**gamma + b**2/2 + delta*(rho+b)**Gamma, per cell; rho, b > 0."""
     rho = np.asarray(rho, dtype=float)
     b = np.asarray(b, dtype=float)
     if np.any(rho <= 0.0):
         raise NonpositiveField("pressure undefined: rho has nonpositive entries")
-    if allow_zero_b:
-        if np.any(b < 0.0):
-            raise NonpositiveField("pressure undefined: b has negative entries")
-    elif np.any(b <= 0.0):
+    if np.any(b <= 0.0):
         raise NonpositiveField("pressure undefined: b has nonpositive entries")
     p = params.a * rho ** params.gamma + 0.5 * b * b
     if params.delta > 0.0:

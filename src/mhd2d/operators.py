@@ -24,8 +24,8 @@ __all__ = [
     "gradient_cc_to_face",
     "divergence_face_to_cc",
     "laplacian_neumann",
-    "laplacian_velocity_noslip",
-    "grad_div_velocity",
+    "noslip_ghosts",
+    "node_shear",
     "upwind_scalar_flux_div",
     "momentum_advection",
     "eps_gradrho_gradu",
@@ -73,43 +73,28 @@ def laplacian_neumann(grid: Grid, q: np.ndarray) -> np.ndarray:
     return divergence_face_to_cc(grid, gradient_cc_to_face(grid, q))
 
 
-def laplacian_velocity_noslip(grid: Grid, ux: np.ndarray, uy: np.ndarray) -> FaceField:
-    """Componentwise 5-point Laplacian of a no-slip face velocity.
+def noslip_ghosts(ux: np.ndarray, uy: np.ndarray):
+    """Tangential velocities padded with their no-slip sign-flip ghosts.
 
-    Boundary-normal faces are held at zero (output rows zeroed); the wall
-    value of the tangential component is realized by sign-flip ghosts.
+    ux gains a ghost column beyond each y-wall, (nx+1, ny+2), and uy a
+    ghost row beyond each x-wall, (nx+2, ny+1).  Each ghost is the
+    negated adjacent value, so the wall value, their mean, is zero.
     """
-    hx2, hy2 = grid.hx ** 2, grid.hy ** 2
-
-    lx = grid.zeros_xface()
-    # normal (x) direction: Dirichlet by exclusion, u[0]=u[nx]=0 enter the stencil
-    lx[1:-1, :] = (ux[2:, :] - 2.0 * ux[1:-1, :] + ux[:-2, :]) / hx2
-    # tangential (y) direction: sign-flip ghosts at the walls
-    uxg = np.empty((grid.nx + 1, grid.ny + 2))
+    uxg = np.empty((ux.shape[0], ux.shape[1] + 2))
     uxg[:, 1:-1] = ux
     uxg[:, 0] = -ux[:, 0]
     uxg[:, -1] = -ux[:, -1]
-    lx[1:-1, :] += (uxg[1:-1, 2:] - 2.0 * uxg[1:-1, 1:-1] + uxg[1:-1, :-2]) / hy2
-
-    ly = grid.zeros_yface()
-    ly[:, 1:-1] = (uy[:, 2:] - 2.0 * uy[:, 1:-1] + uy[:, :-2]) / hy2
-    uyg = np.empty((grid.nx + 2, grid.ny + 1))
+    uyg = np.empty((uy.shape[0] + 2, uy.shape[1]))
     uyg[1:-1, :] = uy
     uyg[0, :] = -uy[0, :]
     uyg[-1, :] = -uy[-1, :]
-    ly[:, 1:-1] += (uyg[2:, 1:-1] - 2.0 * uyg[1:-1, 1:-1] + uyg[:-2, 1:-1]) / hx2
-
-    return FaceField(lx, ly)
+    return uxg, uyg
 
 
-def grad_div_velocity(grid: Grid, ux: np.ndarray, uy: np.ndarray) -> FaceField:
-    """grad(div u) as the composition of the two adjoint operators.
-
-    The result is zero on boundary-normal faces, where the velocity is
-    held at zero anyway.
-    """
-    div = divergence_face_to_cc(grid, FaceField(ux, uy))
-    return gradient_cc_to_face(grid, div)
+def node_shear(grid: Grid, ux: np.ndarray, uy: np.ndarray):
+    """(d(ux)/dy, d(uy)/dx) at the (nx+1, ny+1) mesh nodes, no-slip closed."""
+    uxg, uyg = noslip_ghosts(ux, uy)
+    return (uxg[:, 1:] - uxg[:, :-1]) / grid.hy, (uyg[1:, :] - uyg[:-1, :]) / grid.hx
 
 
 # ------------------------------------------------------------------
@@ -204,11 +189,8 @@ def eps_gradrho_gradu(grid: Grid, rho, ux, uy, eps: float) -> FaceField:
     drdx = grho.x[1:-1, :]  # (nx-1, ny)
     gy = grho.y  # (nx, ny+1), zero on wall rows
     drdy = 0.25 * (gy[:-1, :-1] + gy[:-1, 1:] + gy[1:, :-1] + gy[1:, 1:])  # (nx-1, ny)
+    uxg, uyg = noslip_ghosts(ux, uy)
     duxdx = (ux[2:, :] - ux[:-2, :]) / (2.0 * hx)
-    uxg = np.empty((grid.nx + 1, grid.ny + 2))
-    uxg[:, 1:-1] = ux
-    uxg[:, 0] = -ux[:, 0]
-    uxg[:, -1] = -ux[:, -1]
     duxdy = (uxg[1:-1, 2:] - uxg[1:-1, :-2]) / (2.0 * hy)
     fx[1:-1, :] = eps * (drdx * duxdx + drdy * duxdy)
 
@@ -217,10 +199,6 @@ def eps_gradrho_gradu(grid: Grid, rho, ux, uy, eps: float) -> FaceField:
     gx = grho.x  # (nx+1, ny)
     drdx2 = 0.25 * (gx[:-1, :-1] + gx[:-1, 1:] + gx[1:, :-1] + gx[1:, 1:])  # (nx, ny-1)
     duydy = (uy[:, 2:] - uy[:, :-2]) / (2.0 * hy)
-    uyg = np.empty((grid.nx + 2, grid.ny + 1))
-    uyg[1:-1, :] = uy
-    uyg[0, :] = -uy[0, :]
-    uyg[-1, :] = -uy[-1, :]
     duydx = (uyg[2:, 1:-1] - uyg[:-2, 1:-1]) / (2.0 * hx)
     fy[:, 1:-1] = eps * (drdx2 * duydx + drdy2 * duydy)
 

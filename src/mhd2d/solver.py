@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Grid, SimulationParams, State, build_grid, init_state
+from .core import Grid, SimulationParams, State, build_grid, check_state, init_state
 from .eos import pressure_total, sound_speed_sq
 from .errors import DegenerateState, LinearSolveDivergence, PositivityLoss
 from .operators import (
@@ -229,19 +229,18 @@ def implicit_diffusion_solve(
     q: np.ndarray,
     coef: float,
     dt: float,
-    bc: str = "neumann",
     tol: float = 1e-12,
     max_iter: int | None = None,
 ) -> np.ndarray:
-    """Solve (I - coef*dt*Lap) q' = q by conjugate gradients.
+    """Solve (I - coef*dt*Lap) q' = q by conjugate gradients, Neumann walls.
 
     Relative residual is driven below `tol` (well under the 1e-10 the
-    solver contract requires).  For Neumann walls the cell sum of q' is
-    restored to the exact value the unit column sums of the matrix
-    dictate.  Raises LinearSolveDivergence after 10*(nx+ny) iterations,
-    on a non-finite q or residual, and on CG breakdown.
+    solver contract requires).  The cell sum of q' is restored to the
+    exact value the unit column sums of the matrix dictate.  Raises
+    LinearSolveDivergence after 10*(nx+ny) iterations, on a non-finite q
+    or residual, and on CG breakdown.
     """
-    x, _ = _diffusion_solve_counted(grid, q, coef, dt, bc, tol, max_iter)
+    x, _ = _diffusion_solve_counted(grid, q, coef, dt, tol, max_iter)
     return x
 
 
@@ -250,8 +249,8 @@ def _diffusion_matvec(grid, diag, cx, cy, v, out, work):
 
     Cells are stored in rows of ny+1 with the last column a ghost held at
     zero, so every neighbour is a contiguous shift of the flat vector.
-    `diag` carries the centre coefficient with the wall closure folded
-    in (zero on the ghosts); cx, cy are c/hx^2, c/hy^2.
+    `diag` carries the centre coefficient with the mirror-ghost wall
+    closure folded in (zero on the ghosts); cx, cy are c/hx^2, c/hy^2.
     """
     L = grid.ny + 1
     sx, sy = work
@@ -265,18 +264,12 @@ def _diffusion_matvec(grid, diag, cx, cy, v, out, work):
     out.reshape(grid.nx, L)[:, -1] = 0.0
 
 
-def _diffusion_solve_counted(grid, q, coef, dt, bc, tol=1e-12, max_iter=None):
+def _diffusion_solve_counted(grid, q, coef, dt, tol=1e-12, max_iter=None):
     c = coef * dt
     if c < 0.0:
         raise ValueError("coef*dt must be nonnegative")
     if c == 0.0:
         return q.copy(), 0
-    if bc == "neumann":
-        wall = -1.0  # mirror ghost: the wall neighbour drops out
-    elif bc == "dirichlet":
-        wall = 1.0  # sign-flip ghost: zero wall value, one more centre weight
-    else:
-        raise ValueError(f"unknown bc {bc!r}")
     if max_iter is None:
         max_iter = 10 * (grid.nx + grid.ny)
 
@@ -285,10 +278,11 @@ def _diffusion_solve_counted(grid, q, coef, dt, bc, tol=1e-12, max_iter=None):
     diag = np.zeros((nx, ny + 1))
     d = diag[:, :ny]
     d += 1.0 + 2.0 * (cx + cy)
-    d[0, :] += wall * cx
-    d[-1, :] += wall * cx
-    d[:, 0] += wall * cy
-    d[:, -1] += wall * cy
+    # mirror ghosts: the wall neighbour drops out of the stencil
+    d[0, :] -= cx
+    d[-1, :] -= cx
+    d[:, 0] -= cy
+    d[:, -1] -= cy
     diag = diag.ravel()
     b = np.zeros(diag.size)
     b.reshape(nx, ny + 1)[:, :ny] = q
@@ -298,9 +292,8 @@ def _diffusion_solve_counted(grid, q, coef, dt, bc, tol=1e-12, max_iter=None):
              b, x, tol, max_iter)
 
     x = x.reshape(nx, ny + 1)[:, :ny].copy()
-    if bc == "neumann":
-        # the matrix has unit column sums; pin the cell sum to the exact value
-        x += (np.sum(q) - np.sum(x)) / x.size
+    # the matrix has unit column sums; pin the cell sum to the exact value
+    x += (np.sum(q) - np.sum(x)) / x.size
     return x, it
 
 
@@ -372,9 +365,11 @@ def _viscous_matvec(grid, centre, dt, mu, lam, u, out=None, work=None):
     `u` and `out` are flat face vectors (see _face_vector), `centre`
     comes from _viscous_diagonals.  div u is formed once; every term is
     a contiguous in-place update of `out` and the `work` buffers
-    (allocated when not given).  Equal, up to round-off, to composing
-    laplacian_velocity_noslip and grad_div_velocity; the wall-normal
-    faces and ghosts of `out` are zero.  Returns the (nx+1, ny) x-face
+    (allocated when not given).  Equal, up to round-off, to the
+    componentwise 5-point Laplacian with sign-flip tangential ghosts (see
+    noslip_ghosts) plus gradient_cc_to_face(divergence_face_to_cc(u)),
+    the reference composition kept in the tests.  The wall-normal faces
+    and ghosts of `out` are zero.  Returns the (nx+1, ny) x-face
     and (nx, ny+1) y-face views of `out`.
     """
     if out is None:
@@ -502,8 +497,8 @@ def step(
 
     # (2) implicit diffusion
     if params.eps > 0.0:
-        rho1, it_r = _diffusion_solve_counted(grid, rho1, params.eps, dt, "neumann")
-        b1, it_b = _diffusion_solve_counted(grid, b1, params.eps, dt, "neumann")
+        rho1, it_r = _diffusion_solve_counted(grid, rho1, params.eps, dt)
+        b1, it_b = _diffusion_solve_counted(grid, b1, params.eps, dt)
         iters += it_r + it_b
 
     _check_positive(rho1, b1, state.t, dt)
@@ -586,7 +581,10 @@ def run(
     points (the step is then capped to land on them), which is how sweep
     members end up on a shared quadrature grid.  When `output_dir` is
     given, the time series and snapshots are written there, and whatever
-    has been computed is flushed before an abort propagates.
+    has been computed is flushed before an abort propagates.  A caller's
+    `initial_state` is checked (check_state, then stable_dt) before it is
+    recorded, so a malformed or degenerate one raises ValidationError or
+    DegenerateState with nothing recorded or written.
 
     Returns (Trajectory, DiagnosticsSeries).
     """
@@ -598,6 +596,8 @@ def run(
         state, _env = init_state(grid, config.init)
     else:
         state = initial_state
+        check_state(state, grid)
+        stable_dt(state, params, grid)
 
     series = DiagnosticsSeries(
         metadata={

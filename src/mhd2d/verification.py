@@ -23,9 +23,14 @@ import numpy as np
 from .config import Config
 from .core import Grid, SimulationParams, State, build_grid, init_state, validate_params
 from .diagnostics import (
+    TestFunction,
     composition_defect,
+    effective_viscous_flux_field,
+    evf_pairing,
+    high_frequency_energy_fraction,
     log_entropy_comparison,
 )
+from .eos import pressure_total
 from .errors import DegenerateInput, Mhd2dError, ValidationError
 from .operators import gradient_cc_to_face
 from .solver import Sources, Trajectory, run
@@ -358,9 +363,66 @@ def _terminal_distances(st_a: State, st_b: State, area: float):
     return d_rho, d_b, d_u
 
 
-def _run_member(config: Config, params: SimulationParams, state0: State, record_times):
-    cfg = replace(config, params=params)
-    return run(cfg, initial_state=state0.copy(), record_times=record_times)
+def _strictly_decreasing(values, name: str) -> list[float]:
+    values = [float(v) for v in values]
+    if any(v2 >= v1 for v1, v2 in zip(values, values[1:])):
+        raise ValidationError(f"{name} must be strictly decreasing")
+    return values
+
+
+def _sweep(config: Config, parameter: str, values, columns, n_records: int, measure):
+    """The member loop both sweeps share.
+
+    Runs `config` with `parameter` set to each value in turn, every member
+    from the same initial data and recording at the same n_records times,
+    so the trajectories line up for space-time comparisons.  A member that
+    runs gets sup_energy, ratio_drift (how far b/rho left the initial
+    envelope) and whatever `measure(row, params, traj, series, test)` adds,
+    with `test` the test function centered in the space-time cylinder; a
+    member raising Mhd2dError is recorded as failed and skipped.  The
+    finest member that ran is the reference: dist_rho, dist_b, dist_u are
+    terminal L2 distances to it (0 at itself).  Returns the report, the
+    (row, trajectory or None) pair of each value, and the finest
+    trajectory (None when every member failed).
+    """
+    grid = build_grid(config.params)
+    state0, env = init_state(grid, config.init)
+    record_times = _shared_record_times(config.params.t_final, n_records)
+    test = TestFunction.centered_in(grid, config.params.t_final)
+
+    report = SweepReport(parameter=parameter, values=values, columns=columns)
+    results = []
+    for v in values:
+        row = {c: float("nan") for c in columns}
+        row.update({parameter: v, "ok": True, "error": ""})
+        try:
+            params = validate_params(replace(config.params, **{parameter: v}))
+            traj, series = run(replace(config, params=params), initial_state=state0.copy(),
+                               record_times=record_times)
+            row["sup_energy"] = float(series.column("energy").max())
+            row["ratio_drift"] = max(
+                0.0,
+                env.c_star - float(series.column("ratio_min").min()),
+                float(series.column("ratio_max").max()) - env.c_upper,
+            )
+            measure(row, params, traj, series, test)
+            results.append((row, traj))
+        except Mhd2dError as exc:
+            row["ok"] = False
+            row["error"] = f"{type(exc).__name__}: {exc}"
+            results.append((row, None))
+        report.rows.append(row)
+
+    finest = next((traj for row, traj in reversed(results) if traj is not None), None)
+    for row, traj in results:
+        if traj is None:
+            continue
+        if traj is finest:
+            row["dist_rho"] = row["dist_b"] = row["dist_u"] = 0.0
+        else:
+            d = _terminal_distances(traj.states[-1], finest.states[-1], grid.cell_area)
+            row["dist_rho"], row["dist_b"], row["dist_u"] = d
+    return report, results, finest
 
 
 def epsilon_sweep(config: Config, eps_list, n_records: int = 21) -> SweepReport:
@@ -371,19 +433,17 @@ def epsilon_sweep(config: Config, eps_list, n_records: int = 21) -> SweepReport:
     finest member: terminal L2 distances and the composition defects of
     the two fractions.  A failing member is recorded and skipped.
     """
-    eps_list = [float(e) for e in eps_list]
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ValidationError("eps_list must be strictly decreasing")
+    eps_list = _strictly_decreasing(eps_list, "eps_list")
     if not config.params.delta > 0.0:
         raise ValidationError("epsilon_sweep requires fixed delta > 0")
 
-    grid = build_grid(config.params)
-    state0, env = init_state(grid, config.init)
-    record_times = _shared_record_times(config.params.t_final, n_records)
-
-    from .diagnostics import TestFunction, evf_pairing
-
-    test = TestFunction.centered_in(grid, config.params.t_final)
+    def measure(row, params, traj, series, test):
+        row["dissipation_integral"] = float(
+            np.trapezoid(series.column("dissipation"), series.column("t"))
+        )
+        row["eps_grad_rho_l2l2"] = params.eps * _grad_l2l2(traj, "rho")
+        row["eps_grad_b_l2l2"] = params.eps * _grad_l2l2(traj, "b")
+        row["evf_pairing"] = evf_pairing(traj, test, params, weight="sum")
 
     columns = [
         "eps", "ok", "error", "sup_energy", "dissipation_integral",
@@ -391,77 +451,45 @@ def epsilon_sweep(config: Config, eps_list, n_records: int = 21) -> SweepReport:
         "dist_rho", "dist_b", "dist_u", "comp_defect_rho", "comp_defect_b",
         "evf_pairing", "entropy_gap_max",
     ]
-    report = SweepReport(parameter="eps", values=eps_list, columns=columns)
-    results = []
-    for e in eps_list:
-        row = {c: float("nan") for c in columns}
-        row.update(eps=e, ok=True, error="")
-        try:
-            params = validate_params(replace(config.params, eps=e))
-            traj, series = _run_member(config, params, state0, record_times)
-            t = series.column("t")
-            row["sup_energy"] = float(series.column("energy").max())
-            row["dissipation_integral"] = float(np.trapezoid(series.column("dissipation"), t))
-            row["eps_grad_rho_l2l2"] = e * _grad_l2l2(traj, "rho")
-            row["eps_grad_b_l2l2"] = e * _grad_l2l2(traj, "b")
-            row["ratio_drift"] = max(
-                0.0,
-                env.c_star - float(series.column("ratio_min").min()),
-                float(series.column("ratio_max").max()) - env.c_upper,
-            )
-            row["evf_pairing"] = evf_pairing(traj, test, params, weight="sum")
-            results.append((row, traj))
-        except Mhd2dError as exc:
-            row["ok"] = False
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            results.append((row, None))
-        report.rows.append(row)
+    report, results, finest = _sweep(config, "eps", eps_list, columns, n_records, measure)
+    if finest is None:
+        return report
 
-    finest = next((traj for row, traj in reversed(results) if traj is not None), None)
-    if finest is not None:
-        for row, traj in results:
-            if traj is None or traj is finest:
-                if traj is finest:
-                    row["dist_rho"] = row["dist_b"] = row["dist_u"] = 0.0
-                    row["comp_defect_rho"] = row["comp_defect_b"] = 0.0
-                    row["entropy_gap_max"] = 0.0
-                continue
-            d = _terminal_distances(traj.states[-1], finest.states[-1], grid.cell_area)
-            row["dist_rho"], row["dist_b"], row["dist_u"] = d
+    for row, traj in results:
+        if traj is finest:
+            row["comp_defect_rho"] = row["comp_defect_b"] = row["entropy_gap_max"] = 0.0
+        elif traj is not None:
             row["comp_defect_rho"] = composition_defect(traj, finest, p=2.0, component="rho")
             row["comp_defect_b"] = composition_defect(traj, finest, p=2.0, component="b")
             lhs, rhs = log_entropy_comparison(traj, finest)
             row["entropy_gap_max"] = float(np.max(lhs - rhs))
-        dists = [r["dist_rho"] for r, tr in results[:-1] if tr is not None]
-        vals = [r["eps"] for r, tr in results[:-1] if tr is not None]
-        if len(dists) >= 2 and min(dists) > 0.0:
-            order = richardson_order(dists, vals)
-            report.notes.append(f"observed order of dist_rho vs eps: {order:.3f}")
-        pairings = [r["evf_pairing"] for r, tr in results if tr is not None]
-        if len(pairings) >= 3:
-            gaps = [abs(a - b) for a, b in zip(pairings, pairings[1:])]
-            report.notes.append(
-                "evf_pairing successive gaps "
-                + ", ".join(f"{g:.3e}" for g in gaps)
-                + " (Cauchy behavior expected as eps halves)"
-            )
+    dists = [r["dist_rho"] for r, tr in results[:-1] if tr is not None]
+    vals = [r["eps"] for r, tr in results[:-1] if tr is not None]
+    if len(dists) >= 2 and min(dists) > 0.0:
+        order = richardson_order(dists, vals)
+        report.notes.append(f"observed order of dist_rho vs eps: {order:.3f}")
+    pairings = [r["evf_pairing"] for r, tr in results if tr is not None]
+    if len(pairings) >= 3:
+        gaps = [abs(a - b) for a, b in zip(pairings, pairings[1:])]
         report.notes.append(
-            "entropy_gap_max compares against the finest member as proxy limit; "
-            "expected <= 0 up to quadrature error (reported, not asserted)"
+            "evf_pairing successive gaps "
+            + ", ".join(f"{g:.3e}" for g in gaps)
+            + " (Cauchy behavior expected as eps halves)"
         )
-        from .diagnostics import effective_viscous_flux_field, high_frequency_energy_fraction
-        from .eos import pressure_total
-
-        last = finest.states[-1]
-        evf_hf = high_frequency_energy_fraction(
-            effective_viscous_flux_field(last, finest.params, grid)
-        )
-        p_hf = high_frequency_energy_fraction(pressure_total(last.rho, last.b, finest.params))
-        report.notes.append(
-            f"high-frequency spectral fraction, finest member at t_final: "
-            f"effective viscous flux {evf_hf:.3e} vs raw pressure {p_hf:.3e} "
-            f"(smoothness reported, not asserted)"
-        )
+    report.notes.append(
+        "entropy_gap_max compares against the finest member as proxy limit; "
+        "expected <= 0 up to quadrature error (reported, not asserted)"
+    )
+    last = finest.states[-1]
+    evf_hf = high_frequency_energy_fraction(
+        effective_viscous_flux_field(last, finest.params, finest.grid)
+    )
+    p_hf = high_frequency_energy_fraction(pressure_total(last.rho, last.b, finest.params))
+    report.notes.append(
+        f"high-frequency spectral fraction, finest member at t_final: "
+        f"effective viscous flux {evf_hf:.3e} vs raw pressure {p_hf:.3e} "
+        f"(smoothness reported, not asserted)"
+    )
     return report
 
 
@@ -474,68 +502,33 @@ def delta_sweep(config: Config, delta_list, n_records: int = 21) -> SweepReport:
     and the cut-off-weighted effective-viscous-flux pairing defect
     against the finest member (signed, flagged only).
     """
-    delta_list = [float(d) for d in delta_list]
-    if any(d2 >= d1 for d1, d2 in zip(delta_list, delta_list[1:])):
-        raise ValidationError("delta_list must be strictly decreasing")
+    delta_list = _strictly_decreasing(delta_list, "delta_list")
     if any(d < 0.0 for d in delta_list):
         raise ValidationError("delta values must be nonnegative")
 
-    grid = build_grid(config.params)
-    state0, env = init_state(grid, config.init)
-    record_times = _shared_record_times(config.params.t_final, n_records)
+    def measure(row, params, traj, series, test):
+        row["delta_pressure_int"] = float(
+            np.trapezoid(series.column("delta_pressure_L1"), series.column("t"))
+        )
+        row["evf_tk_pairing"] = evf_pairing(traj, test, params, weight="tk", k=1.0)
 
     columns = [
         "delta", "ok", "error", "delta_pressure_int", "sup_energy",
         "ratio_drift", "dist_rho", "dist_b", "dist_u", "evf_tk_pairing",
         "evf_tk_defect",
     ]
-    report = SweepReport(parameter="delta", values=delta_list, columns=columns)
+    report, results, finest = _sweep(config, "delta", delta_list, columns, n_records, measure)
+    if finest is None:
+        return report
 
-    from .diagnostics import TestFunction, evf_pairing
-
-    test = TestFunction.centered_in(grid, config.params.t_final)
-    results = []
-    for d in delta_list:
-        row = {c: float("nan") for c in columns}
-        row.update(delta=d, ok=True, error="")
-        try:
-            params = validate_params(replace(config.params, delta=d))
-            traj, series = _run_member(config, params, state0, record_times)
-            t = series.column("t")
-            row["delta_pressure_int"] = float(
-                np.trapezoid(series.column("delta_pressure_L1"), t)
-            )
-            row["sup_energy"] = float(series.column("energy").max())
-            row["ratio_drift"] = max(
-                0.0,
-                env.c_star - float(series.column("ratio_min").min()),
-                float(series.column("ratio_max").max()) - env.c_upper,
-            )
-            row["evf_tk_pairing"] = evf_pairing(traj, test, params, weight="tk", k=1.0)
-            results.append((row, traj))
-        except Mhd2dError as exc:
-            row["ok"] = False
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            results.append((row, None))
-        report.rows.append(row)
-
-    finest = next((traj for row, traj in reversed(results) if traj is not None), None)
-    if finest is not None:
-        pairing_finest = next(
-            (r["evf_tk_pairing"] for r, tr in reversed(results) if tr is not None), float("nan")
-        )
-        for row, traj in results:
-            if traj is None:
-                continue
-            if traj is finest:
-                row["dist_rho"] = row["dist_b"] = row["dist_u"] = 0.0
-                row["evf_tk_defect"] = 0.0
-                continue
-            d = _terminal_distances(traj.states[-1], finest.states[-1], grid.cell_area)
-            row["dist_rho"], row["dist_b"], row["dist_u"] = d
+    pairing_finest = next(r["evf_tk_pairing"] for r, tr in results if tr is finest)
+    for row, traj in results:
+        if traj is finest:
+            row["evf_tk_defect"] = 0.0
+        elif traj is not None:
             row["evf_tk_defect"] = pairing_finest - row["evf_tk_pairing"]
-        report.notes.append(
-            "evf_tk_defect = pairing(finest) - pairing(member); the limit ordering "
-            "predicts <= 0 up to quadrature error (flagged, not fatal)"
-        )
+    report.notes.append(
+        "evf_tk_defect = pairing(finest) - pairing(member); the limit ordering "
+        "predicts <= 0 up to quadrature error (flagged, not fatal)"
+    )
     return report

@@ -74,9 +74,12 @@ def test_unsafe_run_id_rejected():
         parse_config(MINIMAL + "run_id = a/b\n")
 
 
-def test_unknown_mode_rejected():
+# the CLI subcommand names are not modes: the subcommand picks what is done
+# with a config, the mode only picks the regularized or the target system
+@pytest.mark.parametrize("mode", ["banana", "mms", "sweep-eps", "sweep-delta", "verify"])
+def test_unknown_mode_rejected(mode):
     with pytest.raises(ParseError, match="unknown mode"):
-        parse_config(MINIMAL + "mode = banana\n")
+        parse_config(MINIMAL + f"mode = {mode}\n")
 
 
 def test_intervals_must_be_positive():

@@ -22,7 +22,6 @@ from mhd2d.diagnostics import (
     record_state,
     renormalized_residual,
     total_energy,
-    transport_invariant_functional,
     weak_residual,
     _bspline,
     _bspline_d1,
@@ -161,8 +160,6 @@ def test_fraction_functional_values():
     g = build_grid(p)
     assert convex_fraction_functional(uniform_state(g, 1.0, 1.0), g) == pytest.approx(0.5, rel=1e-13)
     assert convex_fraction_functional(uniform_state(g, 1.0, 3.0), g) == pytest.approx(0.25, rel=1e-13)
-    s = uniform_state(g, 1.3, 0.9)
-    assert transport_invariant_functional(s, g) == convex_fraction_functional(s, g)
 
 
 def test_log_entropy_values():

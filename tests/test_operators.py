@@ -13,12 +13,11 @@ from mhd2d.operators import (
     face_average_x,
     face_average_y,
     gradient_cc_to_face,
-    grad_div_velocity,
     laplacian_neumann,
-    laplacian_velocity_noslip,
     momentum_advection,
     upwind_scalar_flux_div,
 )
+from velocity_oracles import grad_div_velocity, laplacian_velocity_noslip
 
 
 def make_grid(nx=16, ny=12, Lx=1.0, Ly=0.75):

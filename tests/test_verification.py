@@ -277,6 +277,20 @@ def test_epsilon_sweep_records_member_failure_and_continues():
     assert rep.rows[0]["dist_rho"] == 0.0
 
 
+def test_delta_sweep_records_member_failure_and_continues():
+    cfg = small_sweep_config(eps=0.0, delta=0.0, Gamma=3.0)
+    rep = delta_sweep(cfg, [1e-2, 0.0], n_records=5)  # delta > 0 needs Gamma > 4
+    assert rep.rows[0]["ok"] is False
+    assert rep.rows[0]["error"].startswith("GammaTooSmall: ")
+    assert np.isnan(rep.rows[0]["dist_rho"]) and np.isnan(rep.rows[0]["evf_tk_defect"])
+    assert rep.rows[1]["ok"] is True
+    assert rep.rows[1]["dist_rho"] == rep.rows[1]["evf_tk_defect"] == 0.0
+    assert rep.rows[1]["delta_pressure_int"] == 0.0
+    rep = delta_sweep(cfg, [1e-1, 1e-2], n_records=5)  # no member runs
+    assert [row["ok"] for row in rep.rows] == [False, False]
+    assert all(np.isnan(row["dist_rho"]) for row in rep.rows) and rep.notes == []
+
+
 def test_delta_sweep_zero_member_exact_zero_pressure_column():
     cfg = small_sweep_config(eps=0.0, delta=1e-2)
     rep = delta_sweep(cfg, [1e-2, 0.0], n_records=5)
