@@ -228,6 +228,13 @@ def check_state(state: State, grid: Grid) -> None:
         raise ValidationError("no-slip violated on y-boundary faces")
 
 
+def pin_noslip(ux: np.ndarray, uy: np.ndarray) -> None:
+    """Zero the wall-normal faces of (ux, uy) in place: the no-slip closure
+    that check_state asserts."""
+    ux[0, :] = ux[-1, :] = 0.0
+    uy[:, 0] = uy[:, -1] = 0.0
+
+
 # ------------------------------------------------------------------
 # Initial data
 # ------------------------------------------------------------------
@@ -298,10 +305,7 @@ def _initial_velocity(grid: Grid, amp: float):
         ux = amp * np.sin(np.pi * XF / grid.Lx) * np.sin(np.pi * YC / grid.Ly)
         uy = -amp * np.sin(np.pi * XC / grid.Lx) * np.sin(np.pi * YF / grid.Ly)
         # sampled sin() is only zero to round-off at the far wall
-        ux[0, :] = 0.0
-        ux[-1, :] = 0.0
-        uy[:, 0] = 0.0
-        uy[:, -1] = 0.0
+        pin_noslip(ux, uy)
     return ux, uy
 
 

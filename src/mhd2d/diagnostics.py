@@ -404,12 +404,6 @@ def _check_support(traj, test: TestFunction) -> None:
         )
 
 
-def _time_trapezoid(times, values) -> float:
-    t = np.asarray(times)
-    v = np.asarray(values)
-    return float(np.sum(0.5 * (v[1:] + v[:-1]) * (t[1:] - t[:-1])))
-
-
 # ------------------------------------------------------------------
 # Effective-viscous-flux pairing
 # ------------------------------------------------------------------
@@ -443,7 +437,7 @@ def evf_pairing(
             raise ValueError(f"unknown weight {weight!r}")
         space = float(np.sum(phi * evf * w)) * grid.cell_area
         vals.append(test.psi(st.t) * space)
-    return _time_trapezoid(traj.times, vals)
+    return float(np.trapezoid(vals, traj.times))
 
 
 # ------------------------------------------------------------------
@@ -487,7 +481,7 @@ def _scalar_weak_residual(traj, test, which) -> float:
         if p.eps > 0.0:
             space += p.eps * np.sum(q * phil) * test.psi(st.t)
         vals.append(float(space) * grid.cell_area)
-    return _time_trapezoid(traj.times, vals)
+    return float(np.trapezoid(vals, traj.times))
 
 
 def _momentum_weak_residual(traj, test):
@@ -525,7 +519,7 @@ def _momentum_weak_residual(traj, test):
         sy -= (p.mu + p.lam) * np.sum(div * phiy) * psi
         sy -= np.sum(dragy * phi) * psi
         vals_y.append(float(sy) * grid.cell_area)
-    return _time_trapezoid(traj.times, vals_x), _time_trapezoid(traj.times, vals_y)
+    return float(np.trapezoid(vals_x, traj.times)), float(np.trapezoid(vals_y, traj.times))
 
 
 def _center_velocity_gradients(grid: Grid, st: State):
@@ -596,7 +590,7 @@ def renormalized_residual(
             space -= p.eps * np.sum(h2(q) * grad_sq_c * phi) * psi
             space -= p.eps * np.sum(h1(q) * (gx_c * phix + gy_c * phiy)) * psi
         vals.append(float(space) * grid.cell_area)
-    return _time_trapezoid(traj.times, vals)
+    return float(np.trapezoid(vals, traj.times))
 
 
 # ------------------------------------------------------------------
@@ -635,7 +629,7 @@ def composition_defect(traj_a, traj_b, p: float = 2.0, component: str = "rho") -
         else:
             raise ValueError(f"unknown component {component!r}")
         vals.append(float(np.sum(da * np.abs(fa - fb) ** p)) * grid.cell_area)
-    return _time_trapezoid(traj_a.times, vals)
+    return float(np.trapezoid(vals, traj_a.times))
 
 
 # ------------------------------------------------------------------
@@ -648,17 +642,16 @@ def record_state(
     grid: Grid,
     *,
     energy: float | None = None,
-    ratio: tuple[float, float] | None = None,
 ) -> DiagnosticsRecord:
     """One row of the functional time series.
 
-    `energy` and `ratio`, when given, are total_energy and ratio_bounds of
-    this very state computed earlier (run() carries them from the step
-    that produced it); they are used instead of being computed again.
+    `energy`, when given, is total_energy of this very state computed
+    earlier (run() measures every state it steps to); it is used instead
+    of being computed again.
     """
     rho, b = state.rho, state.b
     area = grid.cell_area
-    rmin, rmax = ratio_bounds(state) if ratio is None else ratio
+    rmin, rmax = ratio_bounds(state)
     grad_sq, div_sq = velocity_gradient_sq_integral(state, grid)
     if params.delta > 0.0:
         dp = float(np.sum(params.delta * (rho + b) ** params.Gamma)) * area

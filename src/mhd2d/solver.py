@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Grid, SimulationParams, State, build_grid, check_state, init_state
+from .core import Grid, SimulationParams, State, build_grid, check_state, init_state, pin_noslip
 from .eos import pressure_total, sound_speed_sq
 from .errors import DegenerateState, LinearSolveDivergence, PositivityLoss
 from .operators import (
@@ -72,11 +72,7 @@ class Sources(NamedTuple):
 @dataclass(frozen=True)
 class StepReport:
     dt_used: float
-    max_ratio_drift: float
-    energy_before: float
-    energy_after: float
     linear_solver_iters: int
-    ratio_after: tuple[float, float]  # ratio_bounds of the new state
 
 
 @dataclass
@@ -433,9 +429,7 @@ def _viscous_solve(grid, rfx, rfy, mx, my, dt, mu, lam, guess, tol=1e-10):
     work = _viscous_work(grid)
 
     b = _face_vector(grid, mx, my)
-    bx, by = _faces(b, grid)
-    bx[0, :] = bx[-1, :] = 0.0
-    by[:, 0] = by[:, -1] = 0.0
+    pin_noslip(*_faces(b, grid))
     x = _face_vector(grid, *guess)
     it = _cg(
         "viscous",
@@ -444,8 +438,7 @@ def _viscous_solve(grid, rfx, rfy, mx, my, dt, mu, lam, guess, tol=1e-10):
     )
     xx, xy = _faces(x, grid)
     ux, uy = xx[:, :-1].copy(), xy.copy()
-    ux[0, :] = ux[-1, :] = 0.0
-    uy[:, 0] = uy[:, -1] = 0.0
+    pin_noslip(ux, uy)
     return ux, uy, it
 
 
@@ -459,21 +452,15 @@ def step(
     grid: Grid,
     dt_cap: float | None = None,
     sources: Callable[[Grid, float], Sources] | None = None,
-    *,
-    energy_before: float | None = None,
-    ratio_before: tuple[float, float] | None = None,
 ) -> tuple[State, StepReport]:
     """Advance one split step; see the module docstring for the stages.
 
-    `energy_before` and `ratio_before`, when given, are total_energy and
-    ratio_bounds of `state` computed earlier (run() passes the previous
-    step's energy_after and ratio_after); they are used instead of being
-    computed again.  Raises PositivityLoss (with a diagnostic dump in the
-    message) if rho or b leaves the positive cone, DegenerateState from
-    stable_dt, and LinearSolveDivergence from the implicit stages.
+    Only the fields advance: no diagnostic of either state is computed
+    here (run() measures the states it keeps).  Raises PositivityLoss
+    (with a diagnostic dump in the message) if rho or b leaves the
+    positive cone, DegenerateState from stable_dt, and
+    LinearSolveDivergence from the implicit stages.
     """
-    from .diagnostics import ratio_bounds, total_energy
-
     dt = stable_dt(state, params, grid)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
@@ -482,9 +469,6 @@ def step(
 
     rho, b, ux, uy = state.rho, state.b, state.ux, state.uy
     scheme = params.advect_scheme
-    if energy_before is None:
-        energy_before = total_energy(state, params, grid)
-    rmin0, rmax0 = ratio_bounds(state) if ratio_before is None else ratio_before
     src = sources(grid, state.t) if sources is not None else None
     iters = 0
 
@@ -516,10 +500,6 @@ def step(
         if src is not None:
             mx = mx + dt * src.ux
             my = my + dt * src.uy
-        mx[0, :] = 0.0
-        mx[-1, :] = 0.0
-        my[:, 0] = 0.0
-        my[:, -1] = 0.0
         ux1, uy1, vit = _viscous_solve(
             grid,
             face_average_x(rho1),
@@ -534,18 +514,7 @@ def step(
         iters += vit
 
     new_state = State(rho=rho1, b=b1, ux=ux1, uy=uy1, t=state.t + dt)
-    energy_after = total_energy(new_state, params, grid)
-    rmin1, rmax1 = ratio_bounds(new_state)
-    drift = max(rmin0 - rmin1, rmax1 - rmax0, 0.0)
-    report = StepReport(
-        dt_used=dt,
-        max_ratio_drift=drift,
-        energy_before=energy_before,
-        energy_after=energy_after,
-        linear_solver_iters=iters,
-        ratio_after=(rmin1, rmax1),
-    )
-    return new_state, report
+    return new_state, StepReport(dt_used=dt, linear_solver_iters=iters)
 
 
 def _check_positive(rho, b, t, dt):
@@ -588,7 +557,7 @@ def run(
 
     Returns (Trajectory, DiagnosticsSeries).
     """
-    from .diagnostics import DiagnosticsSeries, record_state
+    from .diagnostics import DiagnosticsSeries, record_state, total_energy
 
     params = config.params
     grid = build_grid(params)
@@ -618,9 +587,9 @@ def run(
     first = record_state(state, params, grid)
     series.append(first)
     traj.append(state)
-    # total_energy and ratio_bounds of the current state, each computed once
-    # per state and handed on to the next step and to its record
-    energy, ratio = first.energy, (first.ratio_min, first.ratio_max)
+    # total_energy of the current state: computed once per state, for the
+    # energy metadata and for its record
+    energy = first.energy
 
     t_final = params.t_final
     tiny = _time_resolution(t_final)
@@ -633,13 +602,12 @@ def run(
                     rts.pop(0)
                 if rts and rts[0] < target:
                     target = rts[0]
-            state, rep = step(state, params, grid, dt_cap=target - state.t, sources=sources,
-                              energy_before=energy, ratio_before=ratio)
-            energy, ratio = rep.energy_after, rep.ratio_after
+            state, rep = step(state, params, grid, dt_cap=target - state.t, sources=sources)
             if abs(state.t - target) <= 4.0 * tiny:
                 state = replace(state, t=target)
             steps += 1
-            inc = max(rep.energy_after - rep.energy_before, 0.0)
+            energy_before, energy = energy, total_energy(state, params, grid)
+            inc = max(energy - energy_before, 0.0)
             series.metadata["energy_pos_drift"] += inc
             series.metadata["max_step_energy_increase"] = max(
                 series.metadata["max_step_energy_increase"], inc
@@ -649,16 +617,16 @@ def run(
             )
             if record_times is not None:
                 if state.t == target and target != t_final:
-                    series.append(record_state(state, params, grid, energy=energy, ratio=ratio))
+                    series.append(record_state(state, params, grid, energy=energy))
                     traj.append(state)
             else:
                 if steps % config.record_interval == 0:
-                    series.append(record_state(state, params, grid, energy=energy, ratio=ratio))
+                    series.append(record_state(state, params, grid, energy=energy))
                 if steps % config.snapshot_interval == 0:
                     traj.append(state)
         # terminal record/snapshot, unless the loop already emitted one
         if not series.records or series.records[-1].t != state.t:
-            series.append(record_state(state, params, grid, energy=energy, ratio=ratio))
+            series.append(record_state(state, params, grid, energy=energy))
         if not traj.times or traj.times[-1] != state.t:
             traj.append(state)
         series.metadata["steps"] = steps

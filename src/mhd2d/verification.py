@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import Config
-from .core import Grid, SimulationParams, State, build_grid, init_state, validate_params
+from .core import Grid, SimulationParams, State, build_grid, init_state, pin_noslip, validate_params
 from .diagnostics import (
     TestFunction,
     composition_defect,
@@ -96,10 +96,7 @@ class ManufacturedSolution:
         b = _eval_sites(self._fn["b"], xc, yc, t)
         ux = _eval_sites(self._fn["ux"], grid.xf, yc, t)
         uy = _eval_sites(self._fn["uy"], xc, grid.yf, t)
-        ux[0, :] = 0.0
-        ux[-1, :] = 0.0
-        uy[:, 0] = 0.0
-        uy[:, -1] = 0.0
+        pin_noslip(ux, uy)
         return State(rho=rho, b=b, ux=ux, uy=uy, t=float(t))
 
 
@@ -179,10 +176,7 @@ def mms_sources(ms: ManufacturedSolution, params: SimulationParams):
         xc, yc = grid.xc, grid.yc
         sux = _eval_sites(fns["ux"], grid.xf, yc, t)
         suy = _eval_sites(fns["uy"], xc, grid.yf, t)
-        sux[0, :] = 0.0
-        sux[-1, :] = 0.0
-        suy[:, 0] = 0.0
-        suy[:, -1] = 0.0
+        pin_noslip(sux, suy)
         return Sources(rho=_eval_sites(fns["rho"], xc, yc, t),
                        b=_eval_sites(fns["b"], xc, yc, t), ux=sux, uy=suy)
 
@@ -349,9 +343,7 @@ def _grad_l2l2(traj: Trajectory, fieldname: str) -> float:
     for st in traj.states:
         g = gradient_cc_to_face(grid, getattr(st, fieldname))
         vals.append((np.sum(g.x ** 2) + np.sum(g.y ** 2)) * grid.cell_area)
-    t = np.asarray(traj.times)
-    v = np.asarray(vals)
-    return float(np.sqrt(np.sum(0.5 * (v[1:] + v[:-1]) * (t[1:] - t[:-1]))))
+    return float(np.sqrt(np.trapezoid(vals, traj.times)))
 
 
 def _terminal_distances(st_a: State, st_b: State, area: float):
@@ -463,8 +455,9 @@ def epsilon_sweep(config: Config, eps_list, n_records: int = 21) -> SweepReport:
             row["comp_defect_b"] = composition_defect(traj, finest, p=2.0, component="b")
             lhs, rhs = log_entropy_comparison(traj, finest)
             row["entropy_gap_max"] = float(np.max(lhs - rhs))
-    dists = [r["dist_rho"] for r, tr in results[:-1] if tr is not None]
-    vals = [r["eps"] for r, tr in results[:-1] if tr is not None]
+    coarser = [r for r, tr in results if tr is not None and tr is not finest]
+    dists = [r["dist_rho"] for r in coarser]
+    vals = [r["eps"] for r in coarser]
     if len(dists) >= 2 and min(dists) > 0.0:
         order = richardson_order(dists, vals)
         report.notes.append(f"observed order of dist_rho vs eps: {order:.3f}")

@@ -26,7 +26,6 @@ from mhd2d.diagnostics import (
     _bspline,
     _bspline_d1,
     _bspline_d2,
-    _time_trapezoid,
 )
 from mhd2d.errors import GridMismatch, SupportNotCovered
 from mhd2d.solver import Trajectory, run
@@ -265,7 +264,7 @@ def test_evf_pairing_factorizes_for_constant_in_time_fields():
     X, Y = g.center_mesh()
     evf = effective_viscous_flux_field(traj.states[0], p, g)
     spatial = float(np.sum(test.phi(X, Y) * evf * (1.2 + 0.7))) * g.cell_area
-    psi_int = _time_trapezoid(times, test.psi(times))
+    psi_int = np.trapezoid(test.psi(times), times)
     assert val == pytest.approx(psi_int * spatial, rel=1e-12)
 
 

@@ -23,7 +23,7 @@ from mhd2d.core import (
     init_state,
     validate_params,
 )
-from mhd2d.diagnostics import ratio_bounds, record_state
+from mhd2d.diagnostics import ratio_bounds, record_state, total_energy
 from mhd2d.errors import (
     DegenerateState,
     LinearSolveDivergence,
@@ -468,13 +468,28 @@ def small_config(**kw):
 def test_constant_state_is_fixed_point():
     p = params(nx=12, ny=12, eps=1e-2, delta=1e-2)
     g = build_grid(p)
-    s = constant_state(g)
+    s = s0 = constant_state(g)
     for _ in range(5):
-        s, rep = step(s, p, g)
+        s, _rep = step(s, p, g)
     assert np.all(s.rho == 1.0)
     assert np.all(s.b == 1.0)
     assert np.all(s.ux == 0.0) and np.all(s.uy == 0.0)
-    assert rep.energy_after == rep.energy_before
+    assert total_energy(s, p, g) == total_energy(s0, p, g)
+
+
+def test_step_computes_no_diagnostics(monkeypatch):
+    # step() only advances the fields; run() measures the states it keeps
+    def refuse(*args, **kwargs):
+        raise AssertionError("step() must not compute diagnostics")
+
+    monkeypatch.setattr(diagnostics, "total_energy", refuse)
+    monkeypatch.setattr(diagnostics, "ratio_bounds", refuse)
+    cfg = small_config()
+    g = build_grid(cfg.params)
+    s, _ = init_state(g, cfg.init)
+    for _ in range(3):
+        s, rep = step(s, cfg.params, g)
+    assert s.t > 0.0 and rep.linear_solver_iters > 0
 
 
 def test_step_conserves_mass_and_envelope():
@@ -580,9 +595,9 @@ def test_run_record_times_are_hit_exactly():
 
 
 def test_run_records_equal_record_state_on_stored_states(monkeypatch):
-    # run() hands each state's energy and ratio bounds from its step on to
-    # the next step and to its record: each state's energy is computed once,
-    # and every record equals record_state evaluated afresh
+    # run() computes the energy of each state once and hands it to the
+    # state's record and to the energy metadata; every record equals
+    # record_state evaluated afresh
     cfg = replace(small_config(t_final=0.02), record_interval=1, snapshot_interval=1)
     calls = []
     energy = diagnostics.total_energy
@@ -594,6 +609,18 @@ def test_run_records_equal_record_state_on_stored_states(monkeypatch):
     assert len(series.records) == len(traj.states) == steps + 1
     for rec, st in zip(series.records, traj.states):
         assert rec == record_state(st, cfg.params, traj.grid)
+
+
+def test_run_measures_ratio_bounds_once_per_record(monkeypatch):
+    cfg = replace(small_config(t_final=0.05), record_interval=5)
+    calls = []
+    bounds = diagnostics.ratio_bounds
+    monkeypatch.setattr(diagnostics, "ratio_bounds", lambda s: calls.append(s) or bounds(s))
+    _, series = run(cfg)
+    monkeypatch.undo()
+    assert series.metadata["steps"] > 10
+    assert len(calls) == len(series.records)
+    assert [s.t for s in calls] == [r.t for r in series.records]
 
 
 def test_run_max_steps():

@@ -277,6 +277,18 @@ def test_epsilon_sweep_records_member_failure_and_continues():
     assert rep.rows[0]["dist_rho"] == 0.0
 
 
+def test_epsilon_sweep_order_note_survives_a_failing_last_member():
+    # the order note fits the members that ran other than the finest one
+    cfg = small_sweep_config(eps=1e-2, delta=1e-2)
+    eps_list = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
+    order_notes = [
+        [n for n in epsilon_sweep(cfg, lst, n_records=5).notes if n.startswith("observed order")]
+        for lst in (eps_list, eps_list + [-1.0])
+    ]
+    assert order_notes[0] == ["observed order of dist_rho vs eps: 1.401"]
+    assert order_notes[1] == order_notes[0]
+
+
 def test_delta_sweep_records_member_failure_and_continues():
     cfg = small_sweep_config(eps=0.0, delta=0.0, Gamma=3.0)
     rep = delta_sweep(cfg, [1e-2, 0.0], n_records=5)  # delta > 0 needs Gamma > 4
