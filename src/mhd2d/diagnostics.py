@@ -233,12 +233,14 @@ def log_entropy_comparison(traj, traj_ref):
     times = traj.times
     for k, (sa, sr) in enumerate(zip(traj.states, traj_ref.states)):
         lhs.append(log_entropy(sa, grid) - log_entropy(sr, grid))
+        # each snapshot's pairing is computed once and carried to the next
+        # trapezoid panel
+        pa, pr = _divu_pairing(sa, grid), _divu_pairing(sr, grid)
         if k > 0:
             dt = times[k] - times[k - 1]
-            acc_a += 0.5 * dt * (_divu_pairing(traj.states[k - 1], grid) + _divu_pairing(sa, grid))
-            acc_r += 0.5 * dt * (
-                _divu_pairing(traj_ref.states[k - 1], grid) + _divu_pairing(sr, grid)
-            )
+            acc_a += 0.5 * dt * (pa_prev + pa)
+            acc_r += 0.5 * dt * (pr_prev + pr)
+        pa_prev, pr_prev = pa, pr
         rhs.append(acc_r - acc_a)
     return np.array(lhs), np.array(rhs)
 

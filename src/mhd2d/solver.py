@@ -26,6 +26,19 @@ per solve.  Dot products use numpy's einsum loop, not BLAS, so the result
 does not depend on the BLAS thread count.  A non-finite right-hand side or
 residual, CG breakdown and the iteration cap raise LinearSolveDivergence
 naming the solve.
+
+Buffer budget, so that a 128^2 solve stays in a 2 MiB L2:
+  viscous    7.5 face vectors: x, b (overwritten by the residual r), p,
+             A p, one scratch, the centre and Jacobi diagonals, and div u
+             on cells (half a face vector);
+  diffusion  6 cell vectors: x, b (then r), p, A p, one scratch and the
+             diagonal.
+The scratch holds, in turn, u*mu*dt/hx^2 and u*mu*dt/hy^2 (c/hx^2 and
+c/hy^2 for diffusion), the grad-div term, alpha*p, alpha*Ap and, with
+Jacobi, z = r/jacobi; no two of them are live at once.  The Jacobi CG
+takes r.r only where it might end the loop: when j_min*(r.z) no longer
+exceeds 4*(tol*|b|)^2, when r.z is not finite and at the iteration cap.
+Until then an iteration costs two dot products, not three.
 """
 
 from __future__ import annotations
@@ -38,7 +51,7 @@ import numpy as np
 
 from .core import Grid, SimulationParams, State, build_grid, check_state, init_state, pin_noslip
 from .eos import pressure_total, sound_speed_sq
-from .errors import DegenerateState, LinearSolveDivergence, PositivityLoss
+from .errors import DegenerateState, LinearSolveDivergence, PositivityLoss, ValidationError
 from .operators import (
     eps_gradrho_gradu,
     face_average_x,
@@ -159,9 +172,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def _cg(name, matvec, b, x, tol, max_iter, jacobi=None):
     """Conjugate gradients for matvec(x) = b, in place on the flat vector x.
 
-    `matvec(v, out)` writes A v into `out`.  With `jacobi` the residual is
-    preconditioned by that diagonal, otherwise z = r (plain CG).  The loop
-    allocates nothing.  Returns the iteration count; raises
+    `matvec(v, out, s)` writes A v into `out` and may overwrite the scratch
+    vector `s`.  With `jacobi` the residual is preconditioned by that
+    diagonal, otherwise z = r (plain CG).  `b` is overwritten by the
+    residual r = b - A x once its norm is taken.  Besides `x` and `b` the
+    solve holds three vectors: p, A p and the scratch, which carries the
+    matvec temporaries, alpha*p, alpha*Ap and z = r/jacobi in turn.  The
+    loop allocates nothing.  Returns the iteration count; raises
     LinearSolveDivergence, naming the solve, when the right-hand side or
     the residual is not finite, on breakdown (p.Ap <= 0) and after
     `max_iter` iterations.
@@ -173,43 +190,53 @@ def _cg(name, matvec, b, x, tol, max_iter, jacobi=None):
         x.fill(0.0)
         return 0
 
-    r = np.empty_like(b)
+    r = b
+    s = np.empty_like(b)
     ap = np.empty_like(b)
-    w = np.empty_like(b)
-    matvec(x, r)
-    np.subtract(b, r, out=r)
-    z = r if jacobi is None else r / jacobi
-    p = z.copy()
-    rz = _dot(r, z)
-    rr = rz if jacobi is None else _dot(r, r)
+    matvec(x, ap, s)
+    np.subtract(b, ap, out=r)
+    if jacobi is None:
+        p = r.copy()
+        rz = _dot(r, r)
+    else:
+        p = r / jacobi
+        rz = _dot(r, p)
+        # jmin*(r.z) <= r.r <= jmax*(r.z) for a positive diagonal: while the
+        # lower bound stays 2x above the tolerance and the upper one far
+        # from overflow, r.r can neither stop the loop nor be non-finite,
+        # so it is skipped
+        jmin, jmax = float(jacobi.min()), float(jacobi.max())
+        if not jmin > 0.0:
+            jmin = 0.0
+        far = 4.0 * (tol * bnorm) ** 2
     it = 0
     while True:
-        res = math.sqrt(rr)
-        if not math.isfinite(res):
-            raise LinearSolveDivergence(f"{name} CG: residual is not finite after {it} iterations")
-        if res <= tol * bnorm:
-            return it
-        if it >= max_iter:
-            raise LinearSolveDivergence(
-                f"{name} CG stalled after {it} iterations, residual {res / bnorm:.3e}"
-            )
-        matvec(p, ap)
+        if jacobi is None or it >= max_iter or not (jmin * rz > far and jmax * rz < 1e300):
+            res = math.sqrt(rz if jacobi is None else _dot(r, r))
+            if not math.isfinite(res):
+                raise LinearSolveDivergence(f"{name} CG: residual is not finite after {it} iterations")
+            if res <= tol * bnorm:
+                return it
+            if it >= max_iter:
+                raise LinearSolveDivergence(
+                    f"{name} CG stalled after {it} iterations, residual {res / bnorm:.3e}"
+                )
+        matvec(p, ap, s)
         pap = _dot(p, ap)
         if not pap > 0.0:
             raise LinearSolveDivergence(
                 f"{name} CG breakdown at iteration {it}: p.Ap = {pap:.3e} is not positive"
             )
         alpha = rz / pap
-        np.multiply(p, alpha, out=w)
-        x += w
-        np.multiply(ap, alpha, out=w)
-        r -= w
+        np.multiply(p, alpha, out=s)
+        x += s
+        np.multiply(ap, alpha, out=s)
+        r -= s
         if jacobi is None:
-            rz_new = rr = _dot(r, r)
+            z = r
         else:
-            np.divide(r, jacobi, out=z)
-            rz_new = _dot(r, z)
-            rr = _dot(r, r)
+            z = np.divide(r, jacobi, out=s)
+        rz_new = _dot(r, z)
         p *= rz_new / rz
         p += z
         rz = rz_new
@@ -233,6 +260,7 @@ def implicit_diffusion_solve(
     Relative residual is driven below `tol` (well under the 1e-10 the
     solver contract requires).  The cell sum of q' is restored to the
     exact value the unit column sums of the matrix dictate.  Raises
+    ValidationError when coef*dt is negative or not finite, and
     LinearSolveDivergence after 10*(nx+ny) iterations, on a non-finite q
     or residual, and on CG breakdown.
     """
@@ -240,30 +268,30 @@ def implicit_diffusion_solve(
     return x
 
 
-def _diffusion_matvec(grid, diag, cx, cy, v, out, work):
+def _diffusion_matvec(grid, diag, cx, cy, v, out, s):
     """out = (I - c*Lap) v on flat cell vectors, 5-point stencil.
 
     Cells are stored in rows of ny+1 with the last column a ghost held at
     zero, so every neighbour is a contiguous shift of the flat vector.
     `diag` carries the centre coefficient with the mirror-ghost wall
     closure folded in (zero on the ghosts); cx, cy are c/hx^2, c/hy^2.
+    The scratch vector `s` holds v*cx, then v*cy.
     """
     L = grid.ny + 1
-    sx, sy = work
     np.multiply(diag, v, out=out)
-    np.multiply(v, cx, out=sx)
-    np.multiply(v, cy, out=sy)
-    out[L:] -= sx[:-L]
-    out[:-L] -= sx[L:]
-    out[1:] -= sy[:-1]
-    out[:-1] -= sy[1:]
+    np.multiply(v, cx, out=s)
+    out[L:] -= s[:-L]
+    out[:-L] -= s[L:]
+    np.multiply(v, cy, out=s)
+    out[1:] -= s[:-1]
+    out[:-1] -= s[1:]
     out.reshape(grid.nx, L)[:, -1] = 0.0
 
 
 def _diffusion_solve_counted(grid, q, coef, dt, tol=1e-12, max_iter=None):
     c = coef * dt
-    if c < 0.0:
-        raise ValueError("coef*dt must be nonnegative")
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValidationError(f"diffusion solve needs a finite coef*dt >= 0, got {c}")
     if c == 0.0:
         return q.copy(), 0
     if max_iter is None:
@@ -271,20 +299,21 @@ def _diffusion_solve_counted(grid, q, coef, dt, tol=1e-12, max_iter=None):
 
     nx, ny = grid.nx, grid.ny
     cx, cy = c / grid.hx ** 2, c / grid.hy ** 2
-    diag = np.zeros((nx, ny + 1))
-    d = diag[:, :ny]
-    d += 1.0 + 2.0 * (cx + cy)
+    diag = np.empty((nx, ny + 1))
+    diag[:, :ny] = 1.0 + 2.0 * (cx + cy)
+    diag[:, ny] = 0.0
     # mirror ghosts: the wall neighbour drops out of the stencil
+    d = diag[:, :ny]
     d[0, :] -= cx
     d[-1, :] -= cx
     d[:, 0] -= cy
     d[:, -1] -= cy
-    diag = diag.ravel()
-    b = np.zeros(diag.size)
-    b.reshape(nx, ny + 1)[:, :ny] = q
+    b = np.empty((nx, ny + 1))
+    b[:, :ny] = q
+    b[:, ny] = 0.0
+    b, diag = b.ravel(), diag.ravel()
     x = b.copy()
-    work = (np.empty(b.size), np.empty(b.size))
-    it = _cg("diffusion", lambda v, out: _diffusion_matvec(grid, diag, cx, cy, v, out, work),
+    it = _cg("diffusion", lambda v, out, s: _diffusion_matvec(grid, diag, cx, cy, v, out, s),
              b, x, tol, max_iter)
 
     x = x.reshape(nx, ny + 1)[:, :ny].copy()
@@ -327,20 +356,23 @@ def _viscous_diagonals(grid, rfx, rfy, dt, mu, lam):
     pinned wall-normal faces and the ghosts, so the matvec leaves them
     zero.  `jacobi` adds the grad-div centre dt*(mu+lam)*2/h^2, giving the
     diagonal of the whole operator; it is 1 on the pinned faces and the
-    ghosts, where the residual is held at zero.
+    ghosts, where the residual is held at zero.  Both are rows of one
+    buffer, written in place.
     """
     hx2, hy2 = grid.hx ** 2, grid.hy ** 2
     cx, cy = dt * mu / hx2, dt * mu / hy2
-    centre = _face_vector(grid, rfx + 2.0 * (cx + cy), rfy + 2.0 * (cx + cy))
+    centre, jacobi = np.empty((2, (2 * grid.nx + 1) * (grid.ny + 1)))
     dx, dy = _faces(centre, grid)
+    np.add(rfx, 2.0 * (cx + cy), out=dx[:, :-1])
+    np.add(rfy, 2.0 * (cx + cy), out=dy)
     dx[:, 0] += cy
     dx[:, -2] += cy
     dy[0, :] += cx
     dy[-1, :] += cx
-    dx[0, :] = dx[-1, :] = 0.0
+    dx[0, :] = dx[-1, :] = dx[:, -1] = 0.0
     dy[:, 0] = dy[:, -1] = 0.0
 
-    jacobi = centre.copy()
+    np.copyto(jacobi, centre)
     jx, jy = _faces(jacobi, grid)
     jx[1:-1, :-1] += dt * (mu + lam) * 2.0 / hx2
     jy[:, 1:-1] += dt * (mu + lam) * 2.0 / hy2
@@ -349,33 +381,31 @@ def _viscous_diagonals(grid, rfx, rfy, dt, mu, lam):
     return centre, jacobi
 
 
-def _viscous_work(grid):
-    n = (2 * grid.nx + 1) * (grid.ny + 1)
-    cells = grid.nx * (grid.ny + 1)
-    return np.empty(n), np.empty(n), np.empty(cells), np.empty(cells)
-
-
 def _viscous_matvec(grid, centre, dt, mu, lam, u, out=None, work=None):
     """rho_f*u - dt*(mu*Lap_noslip(u) + (mu+lam)*grad(div u)), fused.
 
     `u` and `out` are flat face vectors (see _face_vector), `centre`
     comes from _viscous_diagonals.  div u is formed once; every term is
-    a contiguous in-place update of `out` and the `work` buffers
-    (allocated when not given).  Equal, up to round-off, to the
-    componentwise 5-point Laplacian with sign-flip tangential ghosts (see
-    noslip_ghosts) plus gradient_cc_to_face(divergence_face_to_cc(u)),
-    the reference composition kept in the tests.  The wall-normal faces
-    and ghosts of `out` are zero.  Returns the (nx+1, ny) x-face
-    and (nx, ny+1) y-face views of `out`.
+    a contiguous in-place update of `out`.  `work` is (scratch, div), a
+    face vector and a cell vector (allocated when not given); the scratch
+    holds u*mu*dt/hx^2, then u*mu*dt/hy^2, then the grad-div term.  Equal,
+    up to round-off, to the componentwise 5-point Laplacian with
+    sign-flip tangential ghosts (see noslip_ghosts) plus
+    gradient_cc_to_face(divergence_face_to_cc(u)), the reference
+    composition kept in the tests.  The wall-normal faces and ghosts of
+    `out` are zero.  Returns the (nx+1, ny) x-face and (nx, ny+1) y-face
+    views of `out`.
     """
     if out is None:
         out = np.empty_like(u)
     if work is None:
-        work = _viscous_work(grid)
-    sx, sy, div, g = work
+        work = np.empty_like(u), np.empty(grid.nx * (grid.ny + 1))
+    s, div = work
     L = grid.ny + 1
     n = (grid.nx + 1) * L
     ux, uy, ox, oy = u[:n], u[n:], out[:n], out[n:]
+    oi = ox[L:-L]  # interior x faces, rows 1..nx-1
+    g = s[:div.size]  # cell-sized head of the scratch
 
     # div u on cells stored like y faces; the last column is junk that
     # only reaches outputs zeroed below
@@ -386,26 +416,27 @@ def _viscous_matvec(grid, centre, dt, mu, lam, u, out=None, work=None):
     g *= 1.0 / grid.hy
     div += g
 
+    # each face sums its terms in one fixed order, which fixes the
+    # rounding: centre, the two x neighbours, the two y neighbours, then
+    # grad div.  Neighbours come as +L, -L, +1, -1 on x faces and as
+    # -L, +L, -1, +1 on y faces, so the shifts stay per face block: one
+    # shift of the whole vector would reorder one block's sums.
     np.multiply(centre, u, out=out)
-    np.multiply(u, dt * mu / grid.hx ** 2, out=sx)
-    np.multiply(u, dt * mu / grid.hy ** 2, out=sy)
+    np.multiply(u, dt * mu / grid.hx ** 2, out=s)
+    oi -= s[2 * L:n]
+    oi -= s[:n - 2 * L]
+    sy = s[n:]  # y-face block of the scratch
+    oy[L:] -= sy[:-L]
+    oy[:-L] -= sy[L:]
+    np.multiply(u, dt * mu / grid.hy ** 2, out=s)
+    oi -= s[L + 1:n - L + 1]
+    oi -= s[L - 1:n - L - 1]
+    oy[1:] -= sy[:-1]
+    oy[:-1] -= sy[1:]
 
-    # interior x faces, rows 1..nx-1
-    oi = ox[L:-L]
-    oi -= sx[2 * L:n]
-    oi -= sx[:n - 2 * L]
-    oi -= sy[L + 1:n - L + 1]
-    oi -= sy[L - 1:n - L - 1]
     np.multiply(div, dt * (mu + lam) / grid.hx, out=g)
     oi -= g[L:]
     oi += g[:-L]
-
-    # y faces
-    sxy, syy = sx[n:], sy[n:]
-    oy[L:] -= sxy[:-L]
-    oy[:-L] -= sxy[L:]
-    oy[1:] -= syy[:-1]
-    oy[:-1] -= syy[1:]
     np.multiply(div, dt * (mu + lam) / grid.hy, out=g)
     oy[1:] -= g[1:]
     oy[1:] += g[:-1]
@@ -426,14 +457,14 @@ def _viscous_solve(grid, rfx, rfy, mx, my, dt, mu, lam, guess, tol=1e-10):
     """
     max_iter = 10 * (grid.nx + grid.ny)
     centre, jacobi = _viscous_diagonals(grid, rfx, rfy, dt, mu, lam)
-    work = _viscous_work(grid)
+    div = np.empty(grid.nx * (grid.ny + 1))
 
     b = _face_vector(grid, mx, my)
     pin_noslip(*_faces(b, grid))
     x = _face_vector(grid, *guess)
     it = _cg(
         "viscous",
-        lambda v, out: _viscous_matvec(grid, centre, dt, mu, lam, v, out, work),
+        lambda v, out, s: _viscous_matvec(grid, centre, dt, mu, lam, v, out, (s, div)),
         b, x, tol, max_iter, jacobi,
     )
     xx, xy = _faces(x, grid)

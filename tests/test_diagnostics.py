@@ -376,6 +376,55 @@ def test_entropy_comparison_identical_trajectories():
     assert np.allclose(rhs, 0.0, atol=1e-14)
 
 
+def random_trajectory(g, p, times, rng):
+    states = [
+        State(
+            rho=1.0 + rng.random((g.nx, g.ny)),
+            b=1.0 + rng.random((g.nx, g.ny)),
+            ux=rng.standard_normal((g.nx + 1, g.ny)),
+            uy=rng.standard_normal((g.nx, g.ny + 1)),
+            t=t,
+        )
+        for t in times
+    ]
+    return Trajectory(grid=g, params=p, times=list(times), states=states)
+
+
+def test_entropy_comparison_pairs_each_snapshot_once(monkeypatch):
+    from mhd2d import diagnostics
+    from mhd2d.diagnostics import _divu_pairing, log_entropy
+
+    p = params(nx=10, ny=7)
+    g = build_grid(p)
+    rng = np.random.default_rng(11)
+    times = [0.0, 0.1, 0.25, 0.3, 0.7, 1.0]
+    tr, ref = random_trajectory(g, p, times, rng), random_trajectory(g, p, times, rng)
+
+    # the cumulative trapezoid as it was written before the pairings were
+    # carried forward: both end points of every panel paired afresh
+    lhs_ref, rhs_ref, acc_a, acc_r = [], [], 0.0, 0.0
+    for k, (sa, sr) in enumerate(zip(tr.states, ref.states)):
+        lhs_ref.append(log_entropy(sa, g) - log_entropy(sr, g))
+        if k > 0:
+            dt = times[k] - times[k - 1]
+            acc_a += 0.5 * dt * (_divu_pairing(tr.states[k - 1], g) + _divu_pairing(sa, g))
+            acc_r += 0.5 * dt * (_divu_pairing(ref.states[k - 1], g) + _divu_pairing(sr, g))
+        rhs_ref.append(acc_r - acc_a)
+
+    calls = []
+
+    def counted(state, grid):
+        calls.append(state.t)
+        return _divu_pairing(state, grid)
+
+    monkeypatch.setattr(diagnostics, "_divu_pairing", counted)
+    lhs, rhs = log_entropy_comparison(tr, ref)
+    assert len(calls) == 2 * len(times)
+    assert np.array_equal(lhs, np.array(lhs_ref))
+    assert np.array_equal(rhs, np.array(rhs_ref))
+    assert np.any(rhs != 0.0)
+
+
 def test_high_frequency_fraction_orders_smooth_vs_noisy():
     from mhd2d.diagnostics import high_frequency_energy_fraction
 

@@ -34,6 +34,8 @@ from mhd2d.errors import (
 from mhd2d.operators import face_average_x, face_average_y, laplacian_neumann
 from mhd2d.solver import (
     Sources,
+    _cg,
+    _diffusion_solve_counted,
     _face_vector,
     _faces,
     _viscous_diagonals,
@@ -381,6 +383,96 @@ def test_diffusion_solve_stall_message():
     q = np.random.default_rng(1).random((g.nx, g.ny))
     with pytest.raises(LinearSolveDivergence, match=r"^diffusion CG stalled after 1 iterations, residual "):
         implicit_diffusion_solve(g, q, 10.0, 10.0, max_iter=1)
+
+
+@pytest.mark.parametrize("coef", [-1.0, np.nan, np.inf])
+def test_diffusion_solve_rejects_bad_coefficient(coef):
+    # checked before anything is allocated: unchecked, nan and inf end in
+    # a mislabelled "residual is not finite after 0 iterations"
+    g = build_grid(params(nx=8, ny=8))
+    q = 1.0 + np.random.default_rng(3).random((g.nx, g.ny))
+    with np.errstate(all="raise"), pytest.raises(ValidationError, match=r"coef\*dt"):
+        implicit_diffusion_solve(g, q, coef, 0.1)
+
+
+def test_viscous_cg_stall_reports_the_current_residual():
+    g, rfx, rfy, mx, my, _guess = viscous_problem(24)
+    dt, mu, lam = 0.05, 0.3, 0.1
+    centre, jacobi = _viscous_diagonals(g, rfx, rfy, dt, mu, lam)
+    b = _face_vector(g, mx, my)
+    b0 = b.copy()
+    x = np.zeros_like(b)
+    div = np.empty(g.nx * (g.ny + 1))
+
+    def matvec(v, out, s):
+        _viscous_matvec(g, centre, dt, mu, lam, v, out, (s, div))
+
+    with pytest.raises(LinearSolveDivergence, match=r"^viscous CG stalled after 3 iterations") as exc:
+        _cg("viscous", matvec, b, x, 1e-10, 3, jacobi)
+    printed = float(re.search(r"residual (\S+)$", str(exc.value)).group(1))
+    ax = np.empty_like(x)
+    _viscous_matvec(g, centre, dt, mu, lam, x, ax)
+    actual = np.linalg.norm(b0 - ax) / np.linalg.norm(b0)
+    # 1e-10 is far below: the residual after 3 iterations is still large
+    assert actual > 1e-4
+    assert printed == pytest.approx(actual, rel=5e-4)
+
+
+# ------------------------------------------------------------------
+# buffer plan of the implicit solves
+# ------------------------------------------------------------------
+
+def traced_peak(fn, *args):
+    """Peak bytes that fn(*args) holds at once, as numpy reports them to
+    tracemalloc; the result is dropped only after the trace stops."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_viscous_solve_working_set():
+    # x, the right-hand side turned residual, p, Ap, the scratch, the two
+    # diagonals and a half-size div: 7.5 face vectors (12 with a buffer
+    # per temporary)
+    g, rfx, rfy, mx, my, guess = viscous_problem(64)
+    peak, (_ux, _uy, it) = traced_peak(
+        _viscous_solve, g, rfx, rfy, mx, my, 1e-3, 0.1, 0.05, guess
+    )
+    assert it > 0
+    face_vector = (2 * g.nx + 1) * (g.ny + 1) * 8
+    assert peak <= 8.0 * face_vector
+
+
+def test_diffusion_solve_working_set():
+    # x, the right-hand side turned residual, p, Ap, the scratch and the
+    # diagonal: 6 cell vectors (9 with a buffer per temporary)
+    g = build_grid(params(nx=64, ny=64))
+    q = 1.0 + np.random.default_rng(8).random((g.nx, g.ny))
+    peak, (_x, it) = traced_peak(_diffusion_solve_counted, g, q, 0.01, 1e-2)
+    assert it > 0
+    cell_vector = g.nx * (g.ny + 1) * 8
+    assert peak <= 6.5 * cell_vector
+
+
+def test_solves_leave_their_inputs_alone():
+    g, rfx, rfy, mx, my, _zeros = viscous_problem()
+    guess = (0.1 * mx, 0.1 * my)
+    inputs = (rfx, rfy, mx, my, *guess)
+    before = [a.copy() for a in inputs]
+    _viscous_solve(g, rfx, rfy, mx, my, 0.01, 0.1, 0.05, guess=guess)
+    for a, a0 in zip(inputs, before):
+        assert np.array_equal(a, a0)
+
+    q = 1.0 + np.random.default_rng(9).random((g.nx, g.ny))
+    q0 = q.copy()
+    _diffusion_solve_counted(g, q, 0.3, 0.05)
+    assert np.array_equal(q, q0)
 
 
 @pytest.mark.parametrize(
