@@ -5,12 +5,15 @@ Snapshot layout (all little-endian):
     then per field: name length u32 | name bytes (utf-8)
     then the payloads in declared order, row-major f64.
 Field shapes are implied by their names (rho/b at centers, ux/uy on
-faces), and the reader checks every declared length, so a truncated or
-resized file fails loudly instead of shearing arrays.
+faces), and the reader checks every declared length against the file
+size before reading it, so a truncated, resized or bit-flipped file fails
+loudly instead of shearing arrays or allocating what its header claims.
+Field names must be utf-8, known and distinct.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import Iterable
 
@@ -64,20 +67,54 @@ def write_snapshot(state: State, path) -> None:
 def snapshot_header(path) -> dict:
     """Parse just the header: magic, version, dims, time, field names."""
     with open(path, "rb") as fh:
-        head = fh.read(4)
-        if head != MAGIC:
-            raise FormatError(f"bad magic {head!r}, expected {MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != VERSION:
-            raise FormatError(f"unsupported snapshot version {version}")
-        nx, ny = struct.unpack("<QQ", _read_exact(fh, 16))
-        (t,) = struct.unpack("<d", _read_exact(fh, 8))
-        (nf,) = struct.unpack("<I", _read_exact(fh, 4))
-        names = []
-        for _ in range(nf):
-            (ln,) = struct.unpack("<I", _read_exact(fh, 4))
-            names.append(_read_exact(fh, ln).decode("utf-8"))
-        offset = fh.tell()
+        return _read_header(fh)
+
+
+def _read_header(fh) -> dict:
+    """The header at the start of `fh`, checked against the file's size.
+
+    Every length the header declares (field count, name lengths, and the
+    payload that nx, ny and the names imply) is compared with the bytes
+    the file holds before anything of that length is read, so a corrupt
+    length fails as FormatError instead of asking for gigabytes.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(4)
+    if head != MAGIC:
+        raise FormatError(f"bad magic {head!r}, expected {MAGIC!r}")
+    (version,) = struct.unpack("<I", _read_exact(fh, 4))
+    if version != VERSION:
+        raise FormatError(f"unsupported snapshot version {version}")
+    nx, ny = struct.unpack("<QQ", _read_exact(fh, 16))
+    if nx < 1 or ny < 1:
+        raise FormatError(f"snapshot dims ({nx}, {ny}) must be positive")
+    (t,) = struct.unpack("<d", _read_exact(fh, 8))
+    (nf,) = struct.unpack("<I", _read_exact(fh, 4))
+    if 4 * nf > size - fh.tell():
+        raise FormatError(f"truncated snapshot: {nf} declared fields overrun the file's {size} bytes")
+    names, payload = [], 0
+    for _ in range(nf):
+        (ln,) = struct.unpack("<I", _read_exact(fh, 4))
+        if ln > size - fh.tell():
+            raise FormatError(f"truncated snapshot: a field name of {ln} bytes overruns the file")
+        raw = _read_exact(fh, ln)
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"field name {raw[:32]!r} is not utf-8") from exc
+        if name in names:
+            raise FormatError(f"field {name!r} repeated in snapshot header")
+        rows, cols = _field_shape(name, nx, ny)
+        payload += 8 * rows * cols
+        names.append(name)
+    offset = fh.tell()
+    if payload > size - offset:
+        raise FormatError(
+            f"truncated snapshot: {nx} x {ny} fields {names} need {payload} payload bytes, "
+            f"the file holds {size - offset}"
+        )
+    if payload < size - offset:
+        raise FormatError("snapshot has trailing bytes beyond declared payload")
     return {
         "version": version,
         "nx": int(nx),
@@ -97,23 +134,18 @@ def _read_exact(fh, n: int) -> bytes:
 
 def read_snapshot(path, grid: Grid | None = None) -> State:
     """Read a snapshot back, bit-exactly; checks dims against `grid` if given."""
-    hdr = snapshot_header(path)
-    nx, ny = hdr["nx"], hdr["ny"]
-    if grid is not None and (nx, ny) != (grid.nx, grid.ny):
-        raise FormatError(
-            f"snapshot dims ({nx}, {ny}) do not match grid ({grid.nx}, {grid.ny})"
-        )
     arrays = {}
     with open(path, "rb") as fh:
-        fh.seek(hdr["payload_offset"])
+        hdr = _read_header(fh)
+        nx, ny = hdr["nx"], hdr["ny"]
+        if grid is not None and (nx, ny) != (grid.nx, grid.ny):
+            raise FormatError(
+                f"snapshot dims ({nx}, {ny}) do not match grid ({grid.nx}, {grid.ny})"
+            )
         for name in hdr["fields"]:
             shape = _field_shape(name, nx, ny)
-            count = shape[0] * shape[1]
-            buf = _read_exact(fh, count * 8)
+            buf = _read_exact(fh, shape[0] * shape[1] * 8)
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        extra = fh.read(1)
-        if extra:
-            raise FormatError("snapshot has trailing bytes beyond declared payload")
     missing = [n for n in _FIELD_ORDER if n not in arrays]
     if missing:
         raise FormatError(f"snapshot lacks fields {missing}")
@@ -144,12 +176,13 @@ def write_timeseries_csv(series: DiagnosticsSeries | Iterable[DiagnosticsRecord]
 
 def read_timeseries_csv(path) -> DiagnosticsSeries:
     series = DiagnosticsSeries()
-    with open(path, "r", newline="") as fh:
-        header = fh.readline().rstrip("\n")
+    with open(path, "rb") as fh:
+        lines = enumerate(fh, start=1)
+        header = _decode_line(path, *next(lines, (1, b"")))
         if header.split(",") != list(CSV_COLUMNS):
             raise ParseError(f"{path}: unexpected CSV header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+        for lineno, raw in lines:
+            line = _decode_line(path, lineno, raw)
             if not line:
                 continue
             parts = line.split(",")
@@ -161,3 +194,11 @@ def read_timeseries_csv(path) -> DiagnosticsSeries:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
             series.append(DiagnosticsRecord(*vals))
     return series
+
+
+def _decode_line(path, lineno: int, raw: bytes) -> str:
+    """One line of the time series as text, without its newline."""
+    try:
+        return raw.decode("utf-8").rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}:{lineno}: byte {raw[exc.start]:#04x} is not utf-8 text") from exc

@@ -55,6 +55,22 @@ def _symbols():
     return sp.symbols("x y t", real=True)
 
 
+def _compile(expr, cse: bool = False):
+    """expr as a numpy callable f(x, y, t): the one place formulas are compiled.
+
+    lambdify is given the numpy module object, not the string "numpy".
+    The string makes sympy execute `from numpy import *`, which on numpy 2
+    loads every lazily imported submodule (f2py, testing, ma, polynomial,
+    random, ...): about 0.15 s and 13-18 MB of set-up that no formula ever
+    calls.  With the module object lambdify reads its names from
+    `numpy.__dict__` and still prints with NumPyPrinter, so the generated
+    code, and every value it returns, is the same as the string build's.
+    """
+    import sympy as sp
+
+    return sp.lambdify(_symbols(), expr, modules=[np], cse=cse)
+
+
 def _eval_sites(fn, x, y, t):
     """fn on the tensor grid x (n,) by y (m,) as an (n, m) array.
 
@@ -86,8 +102,7 @@ class ManufacturedSolution:
 
         self.exprs = {"rho": sp.sympify(rho), "b": sp.sympify(b),
                       "ux": sp.sympify(ux), "uy": sp.sympify(uy)}
-        xyt = _symbols()
-        self._fn = {k: sp.lambdify(xyt, e, "numpy") for k, e in self.exprs.items()}
+        self._fn = {k: _compile(e) for k, e in self.exprs.items()}
 
     def sample(self, grid: Grid, t: float) -> State:
         """Fields sampled at their native grid sites; no-slip re-pinned exactly."""
@@ -131,7 +146,7 @@ def mms_sources(ms: ManufacturedSolution, params: SimulationParams):
     The sources depend only on `ms` and the physics parameters, never on
     the grid, so a study builds them once and reuses the callable at
     every resolution.  The raw derivative expressions are compiled with
-    common-subexpression elimination (lambdify cse=True), which shares
+    common-subexpression elimination (_compile with cse=True), which shares
     the repeated derivative terms at evaluation time, and without
     sp.simplify, whose seconds of symbolic work per call buy nothing
     numerically.  The compiled formulas are evaluated on 1-D coordinate
@@ -170,7 +185,7 @@ def mms_sources(ms: ManufacturedSolution, params: SimulationParams):
         return expr
 
     exprs = {"rho": s_rho, "b": s_b, "ux": s_mom(ux, X), "uy": s_mom(uy, Y)}
-    fns = {k: sp.lambdify((X, Y, T), e, "numpy", cse=True) for k, e in exprs.items()}
+    fns = {k: _compile(e, cse=True) for k, e in exprs.items()}
 
     def evaluate(grid: Grid, t: float) -> Sources:
         xc, yc = grid.xc, grid.yc

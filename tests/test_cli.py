@@ -2,10 +2,14 @@
 suite, and the snapshot inspector."""
 
 import os
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mhd2d
 from mhd2d.cli import cli_main
 from mhd2d.storage import read_snapshot, read_timeseries_csv
 
@@ -142,6 +146,26 @@ def test_inspect_bad_file_exit_1(tmp_path, capsys):
     path = tmp_path / "junk.mhd2"
     path.write_bytes(b"JUNKJUNKJUNK")
     assert cli_main(["inspect", str(path)]) == 1
+
+
+@pytest.mark.parametrize("name, content", [
+    ("badname.mhd2", b"MHD2" + struct.pack("<IQQdII", 1, 1, 1, 0.0, 1, 3) + b"r\xffo" + bytes(8)),
+    ("empty.mhd2", b"MHD2" + struct.pack("<IQQdI", 1, 0, 5, 0.0, 4)
+     + b"".join(struct.pack("<I", len(n)) + n for n in (b"rho", b"b", b"ux", b"uy")) + bytes(40)),
+    ("bad.csv", b"t,energy\n\xff,1\n"),
+], ids=["snapshot-name", "snapshot-empty-grid", "csv"])
+def test_inspect_corrupt_file_one_line_error(tmp_path, name, content):
+    # run as `python -m mhd2d`, so an escaping exception would print a traceback
+    path = tmp_path / name
+    path.write_bytes(content)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(mhd2d.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "mhd2d", "inspect", str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "FormatError" in proc.stderr, proc.stderr
 
 
 def test_sweep_eps_cli(small_cfg, tmp_path, capsys):

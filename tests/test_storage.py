@@ -2,6 +2,7 @@
 malformed files."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,74 @@ def test_snapshot_grid_mismatch(tmp_path):
         read_snapshot(path, grid=g2)
 
 
+def crafted_snapshot(path, nx, ny, names, payload=b"", lengths=None):
+    """A v1 header declaring `names` (bytes), optionally with forged name
+    lengths, followed by `payload`."""
+    lengths = lengths or [len(n) for n in names]
+    raw = b"MHD2" + struct.pack("<IQQdI", 1, nx, ny, 0.0, len(names))
+    for ln, name in zip(lengths, names):
+        raw += struct.pack("<I", ln) + name
+    path.write_bytes(raw + payload)
+    return path
+
+
+def test_snapshot_huge_name_length_fails_without_allocating(tmp_path):
+    # 64 MiB declared by a 1 KB file: rejected before any read of that size
+    path = crafted_snapshot(tmp_path / "n.mhd2", 4, 4, [b"rho"], b"\x00" * 1000,
+                            lengths=[64 * 2 ** 20])
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated"):
+            read_snapshot(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("nx, ny", [(2 ** 40, 1), (1, 2 ** 40), (2 ** 64 - 1, 2 ** 64 - 1)])
+def test_snapshot_huge_dims_fail_as_format_error(tmp_path, nx, ny):
+    names = [b"rho", b"b", b"ux", b"uy"]
+    path = crafted_snapshot(tmp_path / "d.mhd2", nx, ny, names, b"\x00" * 800)
+    with pytest.raises(FormatError, match="truncated"):
+        read_snapshot(path)
+    with pytest.raises(FormatError, match="truncated"):
+        snapshot_header(path)
+
+
+@pytest.mark.parametrize("nx, ny", [(0, 5), (5, 0)])
+def test_snapshot_empty_grid(tmp_path, nx, ny):
+    # a consistent payload for a grid without cells is still not a state
+    names = [b"rho", b"b", b"ux", b"uy"]
+    path = crafted_snapshot(tmp_path / "e.mhd2", nx, ny, names, b"\x00" * 40)
+    with pytest.raises(FormatError, match="must be positive"):
+        read_snapshot(path)
+
+
+def test_snapshot_field_count_beyond_the_file(tmp_path):
+    path = tmp_path / "c.mhd2"
+    path.write_bytes(b"MHD2" + struct.pack("<IQQdI", 1, 2, 2, 0.0, 2 ** 32 - 1) + b"\x00" * 64)
+    with pytest.raises(FormatError, match="fields overrun"):
+        read_snapshot(path)
+
+
+def test_snapshot_non_utf8_name(tmp_path):
+    path = crafted_snapshot(tmp_path / "u.mhd2", 2, 2, [b"rh\xff"], b"\x00" * 32)
+    with pytest.raises(FormatError, match="not utf-8"):
+        read_snapshot(path)
+
+
+def test_snapshot_repeated_field_name(tmp_path):
+    # a full payload for rho, b, ux, uy and a second rho: the second must
+    # not silently replace the first
+    nx, ny = 3, 2
+    names = [b"rho", b"b", b"ux", b"uy", b"rho"]
+    count = 3 * nx * ny + (nx + 1) * ny + nx * (ny + 1)
+    path = crafted_snapshot(tmp_path / "r.mhd2", nx, ny, names, np.arange(count, dtype="<f8").tobytes())
+    with pytest.raises(FormatError, match="'rho' repeated"):
+        read_snapshot(path)
+
+
 # ------------------------------------------------------------------
 # CSV
 # ------------------------------------------------------------------
@@ -158,3 +227,13 @@ def test_csv_bad_row_width(tmp_path):
 def test_csv_write_error_names_path(tmp_path):
     with pytest.raises(OSError, match="cannot write time series"):
         write_timeseries_csv(DiagnosticsSeries(), tmp_path / "no" / "dir" / "x.csv")
+
+
+def test_csv_non_utf8_byte_names_path_and_line(tmp_path):
+    path = tmp_path / "bad3.csv"
+    write_timeseries_csv([awkward_record(1.0), awkward_record(2.0)], path)
+    raw = bytearray(path.read_bytes())
+    raw[raw.rindex(b"\n", 0, len(raw) - 1) + 3] = 0xFF  # inside line 3
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match=r"bad3\.csv:3: byte 0xff is not utf-8"):
+        read_timeseries_csv(path)

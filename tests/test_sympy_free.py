@@ -1,6 +1,8 @@
 """sympy is needed only to build manufactured solutions: `import mhd2d`
 leaves it unloaded, and the solver, the sweeps and the non-MMS CLI
-commands run with it blocked."""
+commands run with it blocked.  Building and running manufactured
+solutions leaves numpy's lazily loaded submodules (f2py, testing)
+unloaded."""
 
 import os
 import subprocess
@@ -61,3 +63,24 @@ def test_solver_sweeps_and_cli_run_with_sympy_blocked():
     proc = _python(BLOCKED)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "manufactured solution blocked"
+
+
+MMS_SETUP = """
+import sys
+
+import mhd2d
+from mhd2d.verification import default_manufactured_solution, mms_sources, run_mms
+
+cfg = mhd2d.Config(params=mhd2d.validate_params(mhd2d.SimulationParams(
+    eps=1e-2, delta=1e-2, t_final=0.01)))
+ms = default_manufactured_solution()
+mms_sources(ms, cfg.params)
+run_mms(cfg, ms, resolutions=(8, 12))
+print(*[m for m in ("numpy.f2py", "numpy.testing") if m in sys.modules])
+"""
+
+
+def test_mms_setup_leaves_numpy_f2py_and_testing_unloaded():
+    proc = _python(MMS_SETUP)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -1,7 +1,10 @@
 """Manufactured-solution source correctness (against hand derivatives,
-finite differences and a simplified reference build), one source build
-per order study, the order estimator, and small-scale sweep behavior
-including failure recording and the exact-zero delta member."""
+finite differences and a simplified reference build), compiled code equal
+to lambdify's "numpy"-string build, one source build per order study,
+the order estimator, and small-scale sweep behavior including failure
+recording and the exact-zero delta member."""
+
+import inspect
 
 import numpy as np
 import pytest
@@ -177,6 +180,57 @@ def test_broadcast_evaluation_bit_equals_meshgrid_on_nonsquare_grid(monkeypatch)
             ref = [*src(g, t), *src_const(g, t), *vars(ms.sample(g, t)).values()]
         for a, b in zip(got, ref):
             assert np.shape(a) == np.shape(b) and np.array_equal(a, b), t
+
+
+def _rational_manufactured_solution():
+    """Shaped like the benchmark's: exact rational amplitudes on the unit square."""
+    cc = sp.cos(sp.pi * X) * sp.cos(sp.pi * Y) * sp.exp(-T)
+    ss = sp.sin(sp.pi * X) * sp.sin(sp.pi * Y) * sp.exp(-T)
+    return ManufacturedSolution(rho=1 - sp.Rational(4, 20) * cc, b=1 - sp.Rational(3, 20) * cc,
+                                ux=sp.Rational(4, 20) * ss, uy=sp.Rational(5, 20) * ss)
+
+
+def _function_zoo():
+    """exp, log, sqrt, tanh, Abs, pi and rational powers, positive on the sample points.
+
+    Abs acts on t only: the sources differentiate once in t but twice in
+    x and y, and Abs'' is a DiracDelta, which no numpy build can print.
+    """
+    return ManufacturedSolution(
+        rho=2 + sp.exp(-T) * sp.tanh(X * Y) + sp.log(1 + X ** 2) / 5,
+        b=sp.sqrt(3 + Y) + sp.Abs(T - sp.Rational(1, 2)) / 7 + (1 + X) ** sp.Rational(3, 2),
+        ux=sp.sin(sp.pi * X) * Y ** sp.Rational(1, 3) * sp.exp(-2 * T),
+        uy=sp.cos(sp.pi * Y / 2) * (2 + X) ** sp.Rational(-2, 3),
+    )
+
+
+@pytest.mark.parametrize("build", [default_manufactured_solution, _rational_manufactured_solution,
+                                   _function_zoo])
+def test_compiled_code_equals_the_numpy_string_build(monkeypatch, build):
+    # every formula a manufactured solution and its sources compile: the
+    # helper's generated code and values equal lambdify(..., "numpy")'s
+    compiled = []
+    orig = verification._compile
+
+    def recording(expr, cse=False):
+        compiled.append(expr)
+        return orig(expr, cse=cse)
+
+    monkeypatch.setattr(verification, "_compile", recording)
+    ms = build()
+    mms_sources(ms, params(eps=1e-2, delta=0.05, Gamma=6.0, lam=0.1, mu=0.1))
+    assert len(compiled) == 8
+    x = np.linspace(0.1, 1.3, 7)[:, None]
+    y = np.linspace(0.2, 0.9, 5)[None, :]
+    for expr in compiled:
+        for cse in (False, True):
+            got = orig(expr, cse=cse)
+            ref = sp.lambdify((X, Y, T), expr, "numpy", cse=cse)
+            assert inspect.getsource(got) == inspect.getsource(ref), expr
+            for t in (0.0, 0.013, 0.37):
+                a = np.asarray(got(x, y, t), dtype=float)
+                b = np.asarray(ref(x, y, t), dtype=float)
+                assert np.all(np.isfinite(b)) and np.array_equal(a, b), (expr, cse, t)
 
 
 @pytest.mark.parametrize("dt_max_coeff", [None, 0.5])
