@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import Config, parse_config_file
 from .core import build_grid, init_state
-from .errors import Mhd2dError, ParseError, ValidationError
+from .errors import FormatError, Mhd2dError, ParseError, ValidationError
 from .solver import run
 from .storage import read_snapshot, snapshot_header
 from .verification import (
@@ -259,11 +259,15 @@ def _cmd_verify(config: Config) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    hdr = snapshot_header(args.snapshot)
+    try:
+        hdr = snapshot_header(args.snapshot)
+        state = read_snapshot(args.snapshot)
+    except FormatError as exc:  # no run was started: name the file, not a run
+        print(f"cannot inspect {args.snapshot}: FormatError: {exc}", file=sys.stderr)
+        return 1
     print(f"snapshot {args.snapshot}")
     print(f"  version {hdr['version']}, grid {hdr['nx']} x {hdr['ny']}, time {hdr['time']:.17g}")
     print(f"  fields: {', '.join(hdr['fields'])}")
-    state = read_snapshot(args.snapshot)
     for name in hdr["fields"]:
         arr = getattr(state, name)
         print(

@@ -8,7 +8,7 @@ validate_params, so no partially valid Config ever escapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .core import InitialDataSpec, SimulationParams, validate_params
 from .errors import ParseError, ValidationError
@@ -16,46 +16,6 @@ from .errors import ParseError, ValidationError
 __all__ = ["Config", "parse_config", "parse_config_file", "MODES"]
 
 MODES = ("regularized", "target")
-
-_PARAM_KEYS = {
-    # key -> (attribute, converter)
-    "a": ("a", float),
-    "gamma": ("gamma", float),
-    "mu": ("mu", float),
-    "lambda": ("lam", float),
-    "eps": ("eps", float),
-    "delta": ("delta", float),
-    "Gamma": ("Gamma", float),
-    "Lx": ("Lx", float),
-    "Ly": ("Ly", float),
-    "nx": ("nx", int),
-    "ny": ("ny", int),
-    "cfl": ("cfl", float),
-    "t_final": ("t_final", float),
-    "dt_max": ("dt_max", float),
-    "advect_scheme": ("advect_scheme", str),
-    "freeze_velocity": ("freeze_velocity", None),  # bool, parsed specially
-}
-
-_INIT_KEYS = {
-    "init_kind": ("kind", str),
-    "init_rho_base": ("rho_base", float),
-    "init_b_base": ("b_base", float),
-    "init_rho_amp": ("rho_amp", float),
-    "init_b_amp": ("b_amp", float),
-    "init_kx": ("kx", int),
-    "init_ky": ("ky", int),
-    "init_ratio_mid": ("ratio_mid", float),
-    "init_ratio_amp": ("ratio_amp", float),
-    "init_jx": ("jx", int),
-    "init_jy": ("jy", int),
-    "init_u_amp": ("u_amp", float),
-    "init_m": ("m", float),
-    "init_M": ("M", float),
-    "init_path": ("path", str),
-}
-
-_OUTPUT_KEYS = ("mode", "record_interval", "snapshot_interval", "output_dir", "run_id")
 
 
 @dataclass(frozen=True)
@@ -79,6 +39,24 @@ def _parse_bool(raw: str, key: str, lineno: int) -> bool:
     if low in ("false", "no", "off", "0"):
         return False
     raise ParseError(f"line {lineno}: key {key!r} wants a boolean, got {raw!r}")
+
+
+def _key_table(cls, prefix: str = "") -> dict:
+    """key -> (attribute, converter) per field of `cls`: the key is `prefix`
+    plus the name (`lam` spelled `lambda`), the converter the default's
+    type (float for a None default, _parse_bool for a bool)."""
+    table = {}
+    for f in fields(cls):
+        if isinstance(f.default, bool):
+            conv = _parse_bool
+        else:
+            conv = float if f.default is None else type(f.default)
+        table[prefix + ("lambda" if f.name == "lam" else f.name)] = (f.name, conv)
+    return table
+
+
+_PARAM_KEYS = _key_table(SimulationParams)
+_INIT_KEYS = _key_table(InitialDataSpec, "init_")
 
 
 def parse_config(text: str) -> Config:
@@ -108,7 +86,7 @@ def parse_config(text: str) -> Config:
         try:
             if key in _PARAM_KEYS:
                 attr, conv = _PARAM_KEYS[key]
-                pvals[attr] = _parse_bool(raw, key, lineno) if conv is None else conv(raw)
+                pvals[attr] = _parse_bool(raw, key, lineno) if conv is _parse_bool else conv(raw)
             elif key in _INIT_KEYS:
                 attr, conv = _INIT_KEYS[key]
                 ivals[attr] = conv(raw)

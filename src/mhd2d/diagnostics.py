@@ -9,7 +9,10 @@ supported separable test functions.
 
 Quadrature convention: midpoint in space (fields sit at cell centers or
 faces, test functions are evaluated there analytically), trapezoid in
-time over snapshot times.
+time over snapshot times.  `_spacetime_integral` is the one place that
+sets it: every pairing against a test function (`evf_pairing`,
+`weak_residual`, `renormalized_residual`) is an integrand it maps over
+the snapshots.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .operators import (
     FaceField,
     divergence_face_to_cc,
     eps_gradrho_gradu,
+    face_average_x,
+    face_average_y,
     face_to_center,
     gradient_cc_to_face,
     node_shear,
@@ -53,23 +58,6 @@ __all__ = [
     "velocity_gradient_sq_integral",
 ]
 
-CSV_COLUMNS = (
-    "t",
-    "energy",
-    "dissipation",
-    "mass_rho",
-    "mass_b",
-    "ratio_min",
-    "ratio_max",
-    "F_convex",
-    "G_entropy",
-    "delta_pressure_L1",
-    "u_H1_sq",
-    "rho_Lgamma",
-    "b_L2_sq",
-)
-
-
 @dataclass(frozen=True)
 class DiagnosticsRecord:
     t: float
@@ -89,6 +77,8 @@ class DiagnosticsRecord:
     def as_row(self) -> tuple[float, ...]:
         return tuple(getattr(self, f.name) for f in fields(self))
 
+
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 @dataclass
 class DiagnosticsSeries:
@@ -132,13 +122,7 @@ def velocity_gradient_sq_integral(state: State, grid: Grid) -> tuple[float, floa
     d(ux)/dx and d(uy)/dy live at cell centers; the cross derivatives at
     mesh nodes, closed with sign-flip ghosts (no-slip walls).
     """
-    hx, hy = grid.hx, grid.hy
-    ux, uy = state.ux, state.uy
-
-    duxdx = (ux[1:, :] - ux[:-1, :]) / hx
-    duydy = (uy[:, 1:] - uy[:, :-1]) / hy
-    duxdy, duydx = node_shear(grid, ux, uy)
-
+    duxdx, duydy, duxdy, duydx = _velocity_gradients(grid, state)
     grad_sq = (
         np.sum(duxdx ** 2)
         + np.sum(duydy ** 2)
@@ -148,6 +132,14 @@ def velocity_gradient_sq_integral(state: State, grid: Grid) -> tuple[float, floa
     div = duxdx + duydy
     div_sq = float(np.sum(div ** 2)) * grid.cell_area
     return float(grad_sq), div_sq
+
+
+def _velocity_gradients(grid: Grid, state: State):
+    """(dux/dx, duy/dy) at cell centers and (dux/dy, duy/dx) at mesh nodes."""
+    ux, uy = state.ux, state.uy
+    duxdx = (ux[1:, :] - ux[:-1, :]) / grid.hx
+    duydy = (uy[:, 1:] - uy[:, :-1]) / grid.hy
+    return (duxdx, duydy, *node_shear(grid, ux, uy))
 
 
 def dissipation_rate(state: State, params: SimulationParams, grid: Grid) -> float:
@@ -184,8 +176,8 @@ def _grad_sq(grid: Grid, g: FaceField) -> float:
 
 
 def _weighted_grad_sq(grid: Grid, g: FaceField, w_cc: np.ndarray) -> float:
-    wx = 0.5 * (w_cc[:-1, :] + w_cc[1:, :])
-    wy = 0.5 * (w_cc[:, :-1] + w_cc[:, 1:])
+    wx = face_average_x(w_cc)[1:-1, :]
+    wy = face_average_y(w_cc)[:, 1:-1]
     return (
         np.sum(wx * g.x[1:-1, :] ** 2) + np.sum(wy * g.y[:, 1:-1] ** 2)
     ) * grid.cell_area
@@ -279,40 +271,27 @@ def high_frequency_energy_fraction(field: np.ndarray) -> float:
 # Cut-off functions
 # ------------------------------------------------------------------
 
-def _t_base(z):
-    """Concave C^1 base cut-off: identity below 1, Hermite cubic on [1,3], 2 above."""
-    z = np.asarray(z, dtype=float)
-    s = z - 1.0
-    mid = 1.0 + s - 0.25 * s * s
-    return np.where(z <= 1.0, z, np.where(z >= 3.0, 2.0, mid))
-
-
-def _t_base_d1(z):
-    z = np.asarray(z, dtype=float)
-    return np.where(z <= 1.0, 1.0, np.where(z >= 3.0, 0.0, 1.0 - 0.5 * (z - 1.0)))
-
-
-def _t_base_d2(z):
-    z = np.asarray(z, dtype=float)
-    return np.where((z > 1.0) & (z < 3.0), -0.5, 0.0)
-
-
 def cutoff_tk(z, k: float = 1.0):
-    """T_k(z) = k*T(z/k): concave, non-decreasing, 1-Lipschitz, C^1;
-    equals z below k and saturates at 2k above 3k."""
+    """T_k(z) = k*T(z/k), T identity below 1, Hermite cubic on [1, 3], 2 above:
+    concave, non-decreasing, 1-Lipschitz, C^1; equals z below k and
+    saturates at 2k above 3k."""
     if k < 1.0:
         raise ValueError(f"cut-off level k must be >= 1, got {k}")
-    out = k * _t_base(np.asarray(z, dtype=float) / k)
+    z = np.asarray(z, dtype=float) / k
+    s = z - 1.0
+    out = k * np.where(z <= 1.0, z, np.where(z >= 3.0, 2.0, 1.0 + s - 0.25 * s * s))
     return out if out.ndim else float(out)
 
 
 def cutoff_tk_d1(z, k: float = 1.0):
-    out = _t_base_d1(np.asarray(z, dtype=float) / k)
+    z = np.asarray(z, dtype=float) / k
+    out = np.where(z <= 1.0, 1.0, np.where(z >= 3.0, 0.0, 1.0 - 0.5 * (z - 1.0)))
     return out if out.ndim else float(out)
 
 
 def cutoff_tk_d2(z, k: float = 1.0):
-    out = _t_base_d2(np.asarray(z, dtype=float) / k) / k
+    z = np.asarray(z, dtype=float) / k
+    out = np.where((z > 1.0) & (z < 3.0), -0.5, 0.0) / k
     return out if out.ndim else float(out)
 
 
@@ -397,13 +376,25 @@ class TestFunction:
         return self.t0 - 2.0 * self.wt, self.t0 + 2.0 * self.wt
 
 
-def _check_support(traj, test: TestFunction) -> None:
+def _spacetime_integral(traj, test: TestFunction, integrand) -> list[float]:
+    """The space-time quadrature every pairing against `test` goes through.
+
+    Checks that the snapshots cover the test's time support, samples
+    (phi, dphi/dx, dphi/dy, Lap phi) once at the cell centers, and calls
+    integrand(state, psi(t), psi'(t), *those four) on each snapshot; the
+    integrand returns one midpoint-in-space value per component, and each
+    component is integrated by the trapezoid over the snapshot times.
+    """
     lo, hi = test.t_support()
     if not traj.times or traj.times[0] > lo or traj.times[-1] < hi:
         raise SupportNotCovered(
             f"snapshots cover [{traj.times[0] if traj.times else '-'}, "
             f"{traj.times[-1] if traj.times else '-'}], test support is [{lo}, {hi}]"
         )
+    X, Y = traj.grid.center_mesh()
+    phis = (test.phi(X, Y), test.phi_dx(X, Y), test.phi_dy(X, Y), test.phi_lap(X, Y))
+    vals = [integrand(st, test.psi(st.t), test.psi_d1(st.t), *phis) for st in traj.states]
+    return [float(np.trapezoid(comp, traj.times)) for comp in zip(*vals)]
 
 
 # ------------------------------------------------------------------
@@ -423,13 +414,10 @@ def evf_pairing(
     T_k(rho)+T_k(b) for weight="tk" (the second).  Trapezoid in time,
     midpoint in space.
     """
-    _check_support(traj, test)
     params = params or traj.params
     grid = traj.grid
-    X, Y = grid.center_mesh()
-    phi = test.phi(X, Y)
-    vals = []
-    for st in traj.states:
+
+    def integrand(st, psi, dpsi, phi, *_):
         evf = effective_viscous_flux_field(st, params, grid)
         if weight == "sum":
             w = st.rho + st.b
@@ -437,9 +425,9 @@ def evf_pairing(
             w = cutoff_tk(st.rho, k) + cutoff_tk(st.b, k)
         else:
             raise ValueError(f"unknown weight {weight!r}")
-        space = float(np.sum(phi * evf * w)) * grid.cell_area
-        vals.append(test.psi(st.t) * space)
-    return float(np.trapezoid(vals, traj.times))
+        return (psi * (float(np.sum(phi * evf * w)) * grid.cell_area),)
+
+    return _spacetime_integral(traj, test, integrand)[0]
 
 
 # ------------------------------------------------------------------
@@ -457,87 +445,63 @@ def weak_residual(traj, test: TestFunction, equation: str = "mass") -> float:
     params carry them, so the residual vanishes under refinement at the
     scheme's order on either the target or the regularized system.
     """
-    _check_support(traj, test)
     if equation in ("mass", "magnetic"):
-        return _scalar_weak_residual(traj, test, equation)
+        return _spacetime_integral(traj, test, _scalar_weak_integrand(traj, equation))[0]
     if equation == "momentum":
-        rx, ry = _momentum_weak_residual(traj, test)
-        return float(np.hypot(rx, ry))
+        return float(np.hypot(*_spacetime_integral(traj, test, _momentum_integrand(traj))))
     raise ValueError(f"unknown equation {equation!r}")
 
 
-def _scalar_weak_residual(traj, test, which) -> float:
-    grid = traj.grid
-    p = traj.params
-    X, Y = grid.center_mesh()
-    phi = test.phi(X, Y)
-    phix = test.phi_dx(X, Y)
-    phiy = test.phi_dy(X, Y)
-    phil = test.phi_lap(X, Y)
-    vals = []
-    for st in traj.states:
+def _scalar_weak_integrand(traj, which: str):
+    eps, area = traj.params.eps, traj.grid.cell_area
+
+    def integrand(st, psi, dpsi, phi, phix, phiy, phil):
         q = st.rho if which == "mass" else st.b
         ucx, ucy = face_to_center(st.ux, st.uy)
-        space = np.sum(q * phi) * test.psi_d1(st.t)
-        space += np.sum(q * (ucx * phix + ucy * phiy)) * test.psi(st.t)
-        if p.eps > 0.0:
-            space += p.eps * np.sum(q * phil) * test.psi(st.t)
-        vals.append(float(space) * grid.cell_area)
-    return float(np.trapezoid(vals, traj.times))
+        space = np.sum(q * phi) * dpsi
+        space += np.sum(q * (ucx * phix + ucy * phiy)) * psi
+        if eps > 0.0:
+            space += eps * np.sum(q * phil) * psi
+        return (float(space) * area,)
+
+    return integrand
 
 
-def _momentum_weak_residual(traj, test):
-    grid = traj.grid
-    p = traj.params
-    X, Y = grid.center_mesh()
-    phi = test.phi(X, Y)
-    phix = test.phi_dx(X, Y)
-    phiy = test.phi_dy(X, Y)
-    vals_x, vals_y = [], []
-    for st in traj.states:
+def _momentum_integrand(traj):
+    grid, p = traj.grid, traj.params
+
+    def integrand(st, psi, dpsi, phi, phix, phiy, _):
         ucx, ucy = face_to_center(st.ux, st.uy)
         P = pressure_total(st.rho, st.b, p)
         gux, guy, div = _center_velocity_gradients(grid, st)
-        psi = test.psi(st.t)
-        dpsi = test.psi_d1(st.t)
         if p.eps > 0.0:
-            drag = eps_gradrho_gradu(grid, st.rho, st.ux, st.uy, p.eps)
-            dragx, dragy = face_to_center(drag.x, drag.y)
+            drag = face_to_center(*eps_gradrho_gradu(grid, st.rho, st.ux, st.uy, p.eps))
         else:
-            dragx = dragy = 0.0
+            drag = (0.0, 0.0)
 
-        sx = np.sum(st.rho * ucx * phi) * dpsi
-        sx += np.sum(st.rho * ucx * (ucx * phix + ucy * phiy)) * psi
-        sx += np.sum(P * phix) * psi
-        sx -= p.mu * np.sum(gux[0] * phix + gux[1] * phiy) * psi
-        sx -= (p.mu + p.lam) * np.sum(div * phix) * psi
-        sx -= np.sum(dragx * phi) * psi
-        vals_x.append(float(sx) * grid.cell_area)
+        def component(uc, gu, phid, dragc):
+            """The balance of one momentum component against psi*phi."""
+            s = np.sum(st.rho * uc * phi) * dpsi
+            s += np.sum(st.rho * uc * (ucx * phix + ucy * phiy)) * psi
+            s += np.sum(P * phid) * psi
+            s -= p.mu * np.sum(gu[0] * phix + gu[1] * phiy) * psi
+            s -= (p.mu + p.lam) * np.sum(div * phid) * psi
+            s -= np.sum(dragc * phi) * psi
+            return float(s) * grid.cell_area
 
-        sy = np.sum(st.rho * ucy * phi) * dpsi
-        sy += np.sum(st.rho * ucy * (ucx * phix + ucy * phiy)) * psi
-        sy += np.sum(P * phiy) * psi
-        sy -= p.mu * np.sum(guy[0] * phix + guy[1] * phiy) * psi
-        sy -= (p.mu + p.lam) * np.sum(div * phiy) * psi
-        sy -= np.sum(dragy * phi) * psi
-        vals_y.append(float(sy) * grid.cell_area)
-    return float(np.trapezoid(vals_x, traj.times)), float(np.trapezoid(vals_y, traj.times))
+        return component(ucx, gux, phix, drag[0]), component(ucy, guy, phiy, drag[1])
+
+    return integrand
 
 
 def _center_velocity_gradients(grid: Grid, st: State):
     """((dux/dx, dux/dy), (duy/dx, duy/dy), div u) interpolated to centers."""
-    hx, hy = grid.hx, grid.hy
-    ux, uy = st.ux, st.uy
-    duxdx = (ux[1:, :] - ux[:-1, :]) / hx
-    duydy = (uy[:, 1:] - uy[:, :-1]) / hy
-    duxdy_n, duydx_n = node_shear(grid, ux, uy)
-    duxdy = 0.25 * (
-        duxdy_n[:-1, :-1] + duxdy_n[:-1, 1:] + duxdy_n[1:, :-1] + duxdy_n[1:, 1:]
-    )
-    duydx = 0.25 * (
-        duydx_n[:-1, :-1] + duydx_n[:-1, 1:] + duydx_n[1:, :-1] + duydx_n[1:, 1:]
-    )
-    return (duxdx, duxdy), (duydx, duydy), duxdx + duydy
+    duxdx, duydy, duxdy_n, duydx_n = _velocity_gradients(grid, st)
+
+    def node_to_center(a):
+        return 0.25 * (a[:-1, :-1] + a[:-1, 1:] + a[1:, :-1] + a[1:, 1:])
+
+    return (duxdx, node_to_center(duxdy_n)), (node_to_center(duydx_n), duydy), duxdx + duydy
 
 
 def renormalized_residual(
@@ -550,19 +514,15 @@ def renormalized_residual(
     """Residual of the renormalized transport identity for h(rho) or h(b).
 
     h_choice="tk" uses the concave cut-off T_k (h' vanishes above 3k);
-    h_choice="identity" reduces to the plain weak mass residual.  When
-    the run carried eps > 0 the exact diffusion corrections
+    h_choice="identity" equals the weak mass residual at eps = 0 and
+    differs from it by O(h^2) when eps > 0.  When the run carried eps > 0
+    the exact diffusion corrections
     -eps*(h'' |grad q|^2, psi*phi) - eps*(h' grad q, grad(psi*phi))
-    are included, so the residual is refinement-vanishing either way.
+    are included (weak_residual pairs q with Lap phi instead), so the
+    residual is refinement-vanishing either way.
     """
-    _check_support(traj, test)
     grid = traj.grid
     p = traj.params
-    X, Y = grid.center_mesh()
-    phi = test.phi(X, Y)
-    phix = test.phi_dx(X, Y)
-    phiy = test.phi_dy(X, Y)
-
     if h_choice == "identity":
         h = lambda z: z
         h1 = lambda z: np.ones_like(z)
@@ -574,25 +534,22 @@ def renormalized_residual(
     else:
         raise ValueError(f"unknown h_choice {h_choice!r}")
 
-    vals = []
-    for st in traj.states:
+    def integrand(st, psi, dpsi, phi, phix, phiy, _):
         q = st.rho if which == "mass" else st.b
         hq = h(q)
         ucx, ucy = face_to_center(st.ux, st.uy)
         div = divergence_face_to_cc(grid, FaceField(st.ux, st.uy))
-        psi = test.psi(st.t)
-        space = np.sum(hq * phi) * test.psi_d1(st.t)
+        space = np.sum(hq * phi) * dpsi
         space += np.sum(hq * (ucx * phix + ucy * phiy)) * psi
         space -= np.sum((h1(q) * q - hq) * div * phi) * psi
         if p.eps > 0.0:
-            g = gradient_cc_to_face(grid, q)
-            gx_c = 0.5 * (g.x[:-1, :] + g.x[1:, :])
-            gy_c = 0.5 * (g.y[:, :-1] + g.y[:, 1:])
+            gx_c, gy_c = face_to_center(*gradient_cc_to_face(grid, q))
             grad_sq_c = gx_c ** 2 + gy_c ** 2
             space -= p.eps * np.sum(h2(q) * grad_sq_c * phi) * psi
             space -= p.eps * np.sum(h1(q) * (gx_c * phix + gy_c * phiy)) * psi
-        vals.append(float(space) * grid.cell_area)
-    return float(np.trapezoid(vals, traj.times))
+        return (float(space) * grid.cell_area,)
+
+    return _spacetime_integral(traj, test, integrand)[0]
 
 
 # ------------------------------------------------------------------

@@ -149,7 +149,7 @@ def momentum_advection(grid: Grid, rho, ux, uy, scheme: str = "upwind") -> FaceF
     # --- x momentum, control volumes around x-faces ---
     mx = face_average_x(rho) * ux  # (nx+1, ny)
     # x-direction fluxes at cell centers
-    uc = 0.5 * (ux[:-1, :] + ux[1:, :])  # (nx, ny)
+    uc, vc = face_to_center(ux, uy)  # (nx, ny) each
     fxc = uc * pick(mx[:-1, :], mx[1:, :], uc)
     # y-direction fluxes at interior nodes; wall nodes carry zero velocity
     vn = 0.5 * (uy[:-1, 1:-1] + uy[1:, 1:-1])  # (nx-1, ny-1), nodes i=1..nx-1, j=1..ny-1
@@ -160,7 +160,6 @@ def momentum_advection(grid: Grid, rho, ux, uy, scheme: str = "upwind") -> FaceF
 
     # --- y momentum, control volumes around y-faces ---
     my = face_average_y(rho) * uy  # (nx, ny+1)
-    vc = 0.5 * (uy[:, :-1] + uy[:, 1:])  # (nx, ny)
     fyc = vc * pick(my[:, :-1], my[:, 1:], vc)
     un = 0.5 * (ux[1:-1, :-1] + ux[1:-1, 1:])  # (nx-1, ny-1)
     fyn = np.zeros((grid.nx + 1, grid.ny - 1))

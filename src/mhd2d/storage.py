@@ -8,7 +8,9 @@ Field shapes are implied by their names (rho/b at centers, ux/uy on
 faces), and the reader checks every declared length against the file
 size before reading it, so a truncated, resized or bit-flipped file fails
 loudly instead of shearing arrays or allocating what its header claims.
-Field names must be utf-8, known and distinct.
+Field names must be utf-8, known and distinct, and every payload value
+must be finite: no run records a NaN or an infinity, so one in a file
+means the file is corrupt.
 """
 
 from __future__ import annotations
@@ -145,7 +147,11 @@ def read_snapshot(path, grid: Grid | None = None) -> State:
         for name in hdr["fields"]:
             shape = _field_shape(name, nx, ny)
             buf = _read_exact(fh, shape[0] * shape[1] * 8)
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            arr = arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            bad = np.argwhere(~np.isfinite(arr))
+            if bad.size:
+                i, j = bad[0]
+                raise FormatError(f"field {name!r} is not finite at index ({i}, {j}): {arr[i, j]}")
     missing = [n for n in _FIELD_ORDER if n not in arrays]
     if missing:
         raise FormatError(f"snapshot lacks fields {missing}")

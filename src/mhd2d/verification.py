@@ -24,6 +24,7 @@ from .config import Config
 from .core import Grid, SimulationParams, State, build_grid, init_state, pin_noslip, validate_params
 from .diagnostics import (
     TestFunction,
+    _grad_sq,
     composition_defect,
     effective_viscous_flux_field,
     evf_pairing,
@@ -257,15 +258,13 @@ def run_mms(
         traj, _series = run(cfg, initial_state=state0, sources=src)
         terminal = traj.states[-1]
         exact = ms.sample(grid, params.t_final)
-        area = grid.cell_area
         e_rho = terminal.rho - exact.rho
         e_b = terminal.b - exact.b
         e_ux = terminal.ux - exact.ux
         e_uy = terminal.uy - exact.uy
         hs.append(h)
-        l2["rho"].append(float(np.sqrt(np.sum(e_rho ** 2) * area)))
-        l2["b"].append(float(np.sqrt(np.sum(e_b ** 2) * area)))
-        l2["u"].append(float(np.sqrt((np.sum(e_ux ** 2) + np.sum(e_uy ** 2)) * area)))
+        for key, d in zip(("rho", "b", "u"), _terminal_distances(terminal, exact, grid.cell_area)):
+            l2[key].append(d)
         linf["rho"].append(float(np.abs(e_rho).max()))
         linf["b"].append(float(np.abs(e_b).max()))
         linf["u"].append(float(max(np.abs(e_ux).max(), np.abs(e_uy).max())))
@@ -347,17 +346,10 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _shared_record_times(t_final: float, n_records: int):
-    return list(np.linspace(0.0, t_final, n_records))
-
-
 def _grad_l2l2(traj: Trajectory, fieldname: str) -> float:
     """sqrt of the time integral of int |grad q|^2 from snapshots."""
     grid = traj.grid
-    vals = []
-    for st in traj.states:
-        g = gradient_cc_to_face(grid, getattr(st, fieldname))
-        vals.append((np.sum(g.x ** 2) + np.sum(g.y ** 2)) * grid.cell_area)
+    vals = [_grad_sq(grid, gradient_cc_to_face(grid, getattr(st, fieldname))) for st in traj.states]
     return float(np.sqrt(np.trapezoid(vals, traj.times)))
 
 
@@ -377,7 +369,7 @@ def _strictly_decreasing(values, name: str) -> list[float]:
     return values
 
 
-def _sweep(config: Config, parameter: str, values, columns, n_records: int, measure):
+def _sweep(config: Config, parameter: str, values, columns, n_records: int, measure, compare):
     """The member loop both sweeps share.
 
     Runs `config` with `parameter` set to each value in turn, every member
@@ -388,13 +380,15 @@ def _sweep(config: Config, parameter: str, values, columns, n_records: int, meas
     with `test` the test function centered in the space-time cylinder; a
     member raising Mhd2dError is recorded as failed and skipped.  The
     finest member that ran is the reference: dist_rho, dist_b, dist_u are
-    terminal L2 distances to it (0 at itself).  Returns the report, the
-    (row, trajectory or None) pair of each value, and the finest
-    trajectory (None when every member failed).
+    terminal L2 distances to it and `compare(row, traj, finest_row, finest)`
+    adds the sweep's own; both run on every member that ran, the finest
+    too (exactly 0 at itself).  Returns the report, the (row, trajectory
+    or None) pair of each value, and the finest trajectory (None when
+    every member failed).
     """
     grid = build_grid(config.params)
     state0, env = init_state(grid, config.init)
-    record_times = _shared_record_times(config.params.t_final, n_records)
+    record_times = list(np.linspace(0.0, config.params.t_final, n_records))
     test = TestFunction.centered_in(grid, config.params.t_final)
 
     report = SweepReport(parameter=parameter, values=values, columns=columns)
@@ -420,15 +414,12 @@ def _sweep(config: Config, parameter: str, values, columns, n_records: int, meas
             results.append((row, None))
         report.rows.append(row)
 
-    finest = next((traj for row, traj in reversed(results) if traj is not None), None)
-    for row, traj in results:
-        if traj is None:
-            continue
-        if traj is finest:
-            row["dist_rho"] = row["dist_b"] = row["dist_u"] = 0.0
-        else:
-            d = _terminal_distances(traj.states[-1], finest.states[-1], grid.cell_area)
-            row["dist_rho"], row["dist_b"], row["dist_u"] = d
+    ran = [(row, traj) for row, traj in results if traj is not None]
+    finest_row, finest = ran[-1] if ran else (None, None)
+    for row, traj in ran:
+        d = _terminal_distances(traj.states[-1], finest.states[-1], grid.cell_area)
+        row["dist_rho"], row["dist_b"], row["dist_u"] = d
+        compare(row, traj, finest_row, finest)
     return report, results, finest
 
 
@@ -452,24 +443,22 @@ def epsilon_sweep(config: Config, eps_list, n_records: int = 21) -> SweepReport:
         row["eps_grad_b_l2l2"] = params.eps * _grad_l2l2(traj, "b")
         row["evf_pairing"] = evf_pairing(traj, test, params, weight="sum")
 
+    def compare(row, traj, finest_row, finest):
+        row["comp_defect_rho"] = composition_defect(traj, finest, p=2.0, component="rho")
+        row["comp_defect_b"] = composition_defect(traj, finest, p=2.0, component="b")
+        lhs, rhs = log_entropy_comparison(traj, finest)
+        row["entropy_gap_max"] = float(np.max(lhs - rhs))
+
     columns = [
         "eps", "ok", "error", "sup_energy", "dissipation_integral",
         "eps_grad_rho_l2l2", "eps_grad_b_l2l2", "ratio_drift",
         "dist_rho", "dist_b", "dist_u", "comp_defect_rho", "comp_defect_b",
         "evf_pairing", "entropy_gap_max",
     ]
-    report, results, finest = _sweep(config, "eps", eps_list, columns, n_records, measure)
+    report, results, finest = _sweep(config, "eps", eps_list, columns, n_records, measure, compare)
     if finest is None:
         return report
 
-    for row, traj in results:
-        if traj is finest:
-            row["comp_defect_rho"] = row["comp_defect_b"] = row["entropy_gap_max"] = 0.0
-        elif traj is not None:
-            row["comp_defect_rho"] = composition_defect(traj, finest, p=2.0, component="rho")
-            row["comp_defect_b"] = composition_defect(traj, finest, p=2.0, component="b")
-            lhs, rhs = log_entropy_comparison(traj, finest)
-            row["entropy_gap_max"] = float(np.max(lhs - rhs))
     coarser = [r for r, tr in results if tr is not None and tr is not finest]
     dists = [r["dist_rho"] for r in coarser]
     vals = [r["eps"] for r in coarser]
@@ -520,21 +509,18 @@ def delta_sweep(config: Config, delta_list, n_records: int = 21) -> SweepReport:
         )
         row["evf_tk_pairing"] = evf_pairing(traj, test, params, weight="tk", k=1.0)
 
+    def compare(row, traj, finest_row, finest):
+        row["evf_tk_defect"] = finest_row["evf_tk_pairing"] - row["evf_tk_pairing"]
+
     columns = [
         "delta", "ok", "error", "delta_pressure_int", "sup_energy",
         "ratio_drift", "dist_rho", "dist_b", "dist_u", "evf_tk_pairing",
         "evf_tk_defect",
     ]
-    report, results, finest = _sweep(config, "delta", delta_list, columns, n_records, measure)
+    report, results, finest = _sweep(config, "delta", delta_list, columns, n_records, measure, compare)
     if finest is None:
         return report
 
-    pairing_finest = next(r["evf_tk_pairing"] for r, tr in results if tr is finest)
-    for row, traj in results:
-        if traj is finest:
-            row["evf_tk_defect"] = 0.0
-        elif traj is not None:
-            row["evf_tk_defect"] = pairing_finest - row["evf_tk_pairing"]
     report.notes.append(
         "evf_tk_defect = pairing(finest) - pairing(member); the limit ordering "
         "predicts <= 0 up to quadrature error (flagged, not fatal)"

@@ -148,12 +148,16 @@ def test_inspect_bad_file_exit_1(tmp_path, capsys):
     assert cli_main(["inspect", str(path)]) == 1
 
 
+FIELD_NAMES = b"".join(struct.pack("<I", len(n)) + n for n in (b"rho", b"b", b"ux", b"uy"))
+
+
 @pytest.mark.parametrize("name, content", [
     ("badname.mhd2", b"MHD2" + struct.pack("<IQQdII", 1, 1, 1, 0.0, 1, 3) + b"r\xffo" + bytes(8)),
-    ("empty.mhd2", b"MHD2" + struct.pack("<IQQdI", 1, 0, 5, 0.0, 4)
-     + b"".join(struct.pack("<I", len(n)) + n for n in (b"rho", b"b", b"ux", b"uy")) + bytes(40)),
+    ("empty.mhd2", b"MHD2" + struct.pack("<IQQdI", 1, 0, 5, 0.0, 4) + FIELD_NAMES + bytes(40)),
+    ("nan.mhd2", b"MHD2" + struct.pack("<IQQdI", 1, 6, 5, 0.0, 4) + FIELD_NAMES
+     + struct.pack("<d", float("nan")) + struct.pack("<59d", *[1.0] * 59) + bytes(8 * 71)),
     ("bad.csv", b"t,energy\n\xff,1\n"),
-], ids=["snapshot-name", "snapshot-empty-grid", "csv"])
+], ids=["snapshot-name", "snapshot-empty-grid", "snapshot-nan", "csv"])
 def test_inspect_corrupt_file_one_line_error(tmp_path, name, content):
     # run as `python -m mhd2d`, so an escaping exception would print a traceback
     path = tmp_path / name
@@ -163,9 +167,13 @@ def test_inspect_corrupt_file_one_line_error(tmp_path, name, content):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "mhd2d", "inspect", str(path)], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode != 0
+    assert proc.returncode == 1
+    assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and "FormatError" in proc.stderr, proc.stderr
+    # no run was started: the message names the file, not an aborted run
+    assert f"cannot inspect {path}: FormatError" in proc.stderr
+    assert "run aborted" not in proc.stderr
 
 
 def test_sweep_eps_cli(small_cfg, tmp_path, capsys):

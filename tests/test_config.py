@@ -132,3 +132,79 @@ def test_with_params_revalidates():
         cfg.with_params(cfl=2.0)
     cfg2 = cfg.with_params(cfl=0.2)
     assert cfg2.params.cfl == 0.2
+
+
+# every key the parser accepts, with a raw value and what it must parse to
+# (value and exact type); the parameter and init_ tables are derived from
+# the SimulationParams and InitialDataSpec fields, so this pins them
+GOLDEN_KEYS = {
+    "a": ("2", ("params", "a", 2.0)),
+    "gamma": ("1.2", ("params", "gamma", 1.2)),
+    "mu": ("0.3", ("params", "mu", 0.3)),
+    "lambda": ("0.1", ("params", "lam", 0.1)),
+    "eps": ("0.004", ("params", "eps", 0.004)),
+    "delta": ("0.002", ("params", "delta", 0.002)),
+    "Gamma": ("7", ("params", "Gamma", 7.0)),
+    "Lx": ("2", ("params", "Lx", 2.0)),
+    "Ly": ("1.5", ("params", "Ly", 1.5)),
+    "nx": ("24", ("params", "nx", 24)),
+    "ny": ("16", ("params", "ny", 16)),
+    "cfl": ("0.5", ("params", "cfl", 0.5)),
+    "t_final": ("0.75", ("params", "t_final", 0.75)),
+    "dt_max": ("2.5e-3", ("params", "dt_max", 2.5e-3)),
+    "advect_scheme": ("centered", ("params", "advect_scheme", "centered")),
+    "freeze_velocity": ("yes", ("params", "freeze_velocity", True)),
+    "init_kind": ("cosine-perturbation", ("init", "kind", "cosine-perturbation")),
+    "init_rho_base": ("1.1", ("init", "rho_base", 1.1)),
+    "init_b_base": ("0.9", ("init", "b_base", 0.9)),
+    "init_rho_amp": ("0.05", ("init", "rho_amp", 0.05)),
+    "init_b_amp": ("0.04", ("init", "b_amp", 0.04)),
+    "init_kx": ("2", ("init", "kx", 2)),
+    "init_ky": ("1", ("init", "ky", 1)),
+    "init_ratio_mid": ("1.2", ("init", "ratio_mid", 1.2)),
+    "init_ratio_amp": ("0.3", ("init", "ratio_amp", 0.3)),
+    "init_jx": ("3", ("init", "jx", 3)),
+    "init_jy": ("2", ("init", "jy", 2)),
+    "init_u_amp": ("0.1", ("init", "u_amp", 0.1)),
+    "init_m": ("1e-6", ("init", "m", 1e-6)),
+    "init_M": ("50", ("init", "M", 50.0)),
+    "init_path": ("data/start.mhd2", ("init", "path", "data/start.mhd2")),
+    "mode": ("regularized", (None, "mode", "regularized")),
+    "record_interval": ("5", (None, "record_interval", 5)),
+    "snapshot_interval": ("20", (None, "snapshot_interval", 20)),
+    "output_dir": ("results", (None, "output_dir", "results")),
+    "run_id": ("demo-1", (None, "run_id", "demo-1")),
+}
+INT_KEYS = ("nx", "ny", "init_kx", "init_ky", "init_jx", "init_jy",
+            "record_interval", "snapshot_interval")
+
+
+def test_golden_key_set_and_conversions():
+    from mhd2d import config
+
+    derived = set(config._PARAM_KEYS) | set(config._INIT_KEYS)
+    assert derived | {"mode", "record_interval", "snapshot_interval", "output_dir", "run_id"} == set(GOLDEN_KEYS)
+    cfg = parse_config("".join(f"{k} = {raw}\n" for k, (raw, _) in GOLDEN_KEYS.items()))
+    for key, (raw, (part, attr, want)) in GOLDEN_KEYS.items():
+        got = getattr(cfg if part is None else getattr(cfg, part), attr)
+        assert got == want and type(got) is type(want), (key, got)
+    with pytest.raises(ParseError, match="unknown key 'init_lam'"):
+        parse_config(MINIMAL + "init_lam = 1\n")
+
+
+@pytest.mark.parametrize("key", INT_KEYS)
+def test_int_keys_reject_a_fraction(key):
+    text = "".join(f"{k} = {v}\n" for k, v in {"nx": 8, "ny": 8, "t_final": 1.0, key: 1.5}.items())
+    with pytest.raises(ParseError, match=f"bad value for '{key}'|{key} must be"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("raw, want", [("yes", True), ("On", True), ("1", True), ("TRUE", True),
+                                       ("no", False), ("off", False), ("0", False), ("False", False)])
+def test_freeze_velocity_boolean_spellings(raw, want):
+    assert parse_config(MINIMAL + f"freeze_velocity = {raw}\n").params.freeze_velocity is want
+
+
+def test_freeze_velocity_rejects_a_non_boolean():
+    with pytest.raises(ParseError, match="line 4: key 'freeze_velocity' wants a boolean, got 'maybe'"):
+        parse_config(MINIMAL + "freeze_velocity = maybe\n")

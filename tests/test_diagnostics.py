@@ -322,6 +322,73 @@ def test_momentum_weak_residual_constant_state():
     assert abs(weak_residual(traj, test, "momentum")) < 1e-12
 
 
+def _weak_residual_loops(traj, test):
+    """The weak residuals as separate loops over the snapshots, each with
+    its own test-function sampling and time trapezoid: the oracle for the
+    shared space-time quadrature.  Returns (mass, magnetic, momentum)."""
+    from mhd2d.eos import pressure_total
+    from mhd2d.operators import eps_gradrho_gradu, face_to_center, node_shear
+
+    grid, p = traj.grid, traj.params
+    X, Y = grid.center_mesh()
+    phi, phix = test.phi(X, Y), test.phi_dx(X, Y)
+    phiy, phil = test.phi_dy(X, Y), test.phi_lap(X, Y)
+    scalar = {"rho": [], "b": []}
+    vals_x, vals_y = [], []
+    for st in traj.states:
+        ucx, ucy = face_to_center(st.ux, st.uy)
+        for name, vals in scalar.items():
+            q = getattr(st, name)
+            space = np.sum(q * phi) * test.psi_d1(st.t)
+            space += np.sum(q * (ucx * phix + ucy * phiy)) * test.psi(st.t)
+            if p.eps > 0.0:
+                space += p.eps * np.sum(q * phil) * test.psi(st.t)
+            vals.append(float(space) * grid.cell_area)
+
+        P = pressure_total(st.rho, st.b, p)
+        duxdx = (st.ux[1:, :] - st.ux[:-1, :]) / grid.hx
+        duydy = (st.uy[:, 1:] - st.uy[:, :-1]) / grid.hy
+        duxdy_n, duydx_n = node_shear(grid, st.ux, st.uy)
+        duxdy = 0.25 * (duxdy_n[:-1, :-1] + duxdy_n[:-1, 1:] + duxdy_n[1:, :-1] + duxdy_n[1:, 1:])
+        duydx = 0.25 * (duydx_n[:-1, :-1] + duydx_n[:-1, 1:] + duydx_n[1:, :-1] + duydx_n[1:, 1:])
+        div = duxdx + duydy
+        psi, dpsi = test.psi(st.t), test.psi_d1(st.t)
+        drag = eps_gradrho_gradu(grid, st.rho, st.ux, st.uy, p.eps)
+        dragx, dragy = face_to_center(drag.x, drag.y)
+
+        sx = np.sum(st.rho * ucx * phi) * dpsi
+        sx += np.sum(st.rho * ucx * (ucx * phix + ucy * phiy)) * psi
+        sx += np.sum(P * phix) * psi
+        sx -= p.mu * np.sum(duxdx * phix + duxdy * phiy) * psi
+        sx -= (p.mu + p.lam) * np.sum(div * phix) * psi
+        sx -= np.sum(dragx * phi) * psi
+        vals_x.append(float(sx) * grid.cell_area)
+
+        sy = np.sum(st.rho * ucy * phi) * dpsi
+        sy += np.sum(st.rho * ucy * (ucx * phix + ucy * phiy)) * psi
+        sy += np.sum(P * phiy) * psi
+        sy -= p.mu * np.sum(duydx * phix + duydy * phiy) * psi
+        sy -= (p.mu + p.lam) * np.sum(div * phiy) * psi
+        sy -= np.sum(dragy * phi) * psi
+        vals_y.append(float(sy) * grid.cell_area)
+    rx, ry = float(np.trapezoid(vals_x, traj.times)), float(np.trapezoid(vals_y, traj.times))
+    return (float(np.trapezoid(scalar["rho"], traj.times)),
+            float(np.trapezoid(scalar["b"], traj.times)), float(np.hypot(rx, ry)))
+
+
+def test_weak_residuals_equal_the_per_loop_oracle_exactly():
+    spec = InitialDataSpec(kind="ratio-profile", rho_amp=0.2, b_amp=0.1, kx=1, ky=1,
+                           ratio_mid=1.0, ratio_amp=0.3, jx=1, jy=1, u_amp=0.3)
+    p = params(nx=16, ny=12, eps=1e-2, delta=1e-2, lam=0.05, t_final=0.2)
+    traj, _ = run(Config(params=p, init=spec), record_times=list(np.linspace(0.0, 0.2, 17)))
+    test = TestFunction.centered_in(traj.grid, 0.2)
+    mass, magnetic, momentum = _weak_residual_loops(traj, test)
+    assert weak_residual(traj, test, "mass") == mass
+    assert weak_residual(traj, test, "magnetic") == magnetic
+    assert weak_residual(traj, test, "momentum") == momentum
+    assert mass != 0.0 and magnetic != 0.0 and momentum != 0.0
+
+
 # ------------------------------------------------------------------
 # composition defect
 # ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Bit-exactness of the snapshot and CSV formats, and loud failure on
 malformed files."""
 
+import dataclasses
 import struct
 import tracemalloc
 
@@ -48,6 +49,21 @@ def test_snapshot_header_contents(tmp_path):
     assert hdr["fields"] == ["rho", "b", "ux", "uy"]
     assert hdr["time"] == s.t
     assert hdr["version"] == 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", ["rho", "b", "ux", "uy"])
+def test_snapshot_non_finite_payload_names_field_and_first_index(tmp_path, name, value):
+    g, s = sample_state()
+    arr = getattr(s, name).copy()
+    arr[3, 1] = value
+    arr[4, 0] = value  # later in row-major order: not the one reported
+    s = dataclasses.replace(s, **{name: arr})
+    path = tmp_path / "s.mhd2"
+    write_snapshot(s, path)
+    with pytest.raises(FormatError) as err:
+        read_snapshot(path, grid=g)
+    assert str(err.value) == f"field {name!r} is not finite at index (3, 1): {value}"
 
 
 def test_snapshot_bad_magic(tmp_path):
@@ -192,6 +208,17 @@ def test_csv_header_only_for_empty_series(tmp_path):
     path = tmp_path / "empty.csv"
     write_timeseries_csv(DiagnosticsSeries(), path)
     assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+
+def test_csv_header_golden(tmp_path):
+    # the literal header README documents; CSV_COLUMNS is derived from
+    # DiagnosticsRecord, so a renamed or reordered field shows up here
+    header = ("t,energy,dissipation,mass_rho,mass_b,ratio_min,ratio_max,F_convex,"
+              "G_entropy,delta_pressure_L1,u_H1_sq,rho_Lgamma,b_L2_sq")
+    path = tmp_path / "ts.csv"
+    write_timeseries_csv([awkward_record(1.0)], path)
+    assert path.read_text().splitlines()[0] == header
+    assert ",".join(CSV_COLUMNS) == header
 
 
 def test_csv_one_record_two_lines(tmp_path):

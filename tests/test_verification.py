@@ -312,6 +312,26 @@ def test_epsilon_sweep_single_member_has_no_distances():
     assert rep.rows[0]["dist_rho"] == 0.0  # the lone member is its own reference
 
 
+def test_sweeps_compare_the_finest_member_to_an_exact_positive_zero(tmp_path):
+    # the finest member goes through the same comparisons as the others;
+    # against itself each is +0.0 and is written as 0 in the CSV
+    cfg = small_sweep_config(eps=1e-2, delta=1e-2)
+    rep = epsilon_sweep(cfg, [1e-2, 5e-3], n_records=5)
+    zeros = ("dist_rho", "dist_b", "dist_u", "comp_defect_rho", "comp_defect_b", "entropy_gap_max")
+    coarse, finest = rep.rows
+    assert coarse["dist_rho"] > 0.0 and coarse["comp_defect_rho"] > 0.0
+    path = tmp_path / "eps.csv"
+    rep.to_csv(path)
+    last = dict(zip(rep.columns, path.read_text().splitlines()[-1].split(",")))
+    for name in zeros:
+        assert finest[name] == 0.0 and np.copysign(1.0, finest[name]) == 1.0, name
+        assert last[name] == "0", name
+
+    rep = delta_sweep(small_sweep_config(eps=0.0, delta=1e-2), [1e-2, 5e-3], n_records=5)
+    assert rep.rows[0]["evf_tk_defect"] != 0.0
+    assert rep.rows[1]["evf_tk_defect"] == 0.0 and np.copysign(1.0, rep.rows[1]["evf_tk_defect"]) == 1.0
+
+
 def test_epsilon_sweep_requires_decreasing_and_delta():
     cfg = small_sweep_config(eps=1e-2, delta=1e-2)
     with pytest.raises(ValidationError):
