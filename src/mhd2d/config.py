@@ -22,7 +22,6 @@ MODES = ("regularized", "target")
 class Config:
     params: SimulationParams
     init: InitialDataSpec = field(default_factory=InitialDataSpec)
-    mode: str = "regularized"
     record_interval: int = 10
     snapshot_interval: int = 100
     output_dir: str = "out"
@@ -65,6 +64,7 @@ def parse_config(text: str) -> Config:
     pvals: dict[str, object] = {}
     ivals: dict[str, object] = {}
     ovals: dict[str, object] = {}
+    mode = "regularized"
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -93,7 +93,7 @@ def parse_config(text: str) -> Config:
             elif key == "mode":
                 if raw not in MODES:
                     raise ParseError(f"line {lineno}: unknown mode {raw!r}, pick from {MODES}")
-                ovals["mode"] = raw
+                mode = raw
             elif key in ("record_interval", "snapshot_interval"):
                 v = int(raw)
                 if v < 1:
@@ -116,7 +116,6 @@ def parse_config(text: str) -> Config:
         if required not in seen:
             raise ParseError(f"missing required key {required!r}")
 
-    mode = ovals.get("mode", "regularized")
     if mode == "regularized":
         pvals.setdefault("eps", 1e-2)
         pvals.setdefault("delta", 1e-2)
@@ -130,7 +129,7 @@ def parse_config(text: str) -> Config:
     init = InitialDataSpec(**ivals)
     if init.kind not in InitialDataSpec.KINDS:
         raise ValidationError(f"unknown init_kind {init.kind!r}")
-    return Config(params=params, init=init, mode=mode, **{k: v for k, v in ovals.items() if k != "mode"})
+    return Config(params=params, init=init, **ovals)
 
 
 def parse_config_file(path) -> Config:

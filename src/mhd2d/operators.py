@@ -31,6 +31,7 @@ __all__ = [
     "eps_gradrho_gradu",
     "face_average_x",
     "face_average_y",
+    "box_average",
     "face_to_center",
 ]
 
@@ -101,20 +102,23 @@ def node_shear(grid: Grid, ux: np.ndarray, uy: np.ndarray):
 # Transport
 # ------------------------------------------------------------------
 
+def _face_value(lo, hi, vel, scheme: str):
+    """The transported value on a face between `lo` and `hi`, carried by
+    `vel` (positive from lo to hi): the upwind side, or their mean."""
+    if scheme == "upwind":
+        return np.where(vel > 0.0, lo, hi)
+    if scheme == "centered":
+        return 0.5 * (lo + hi)
+    raise ValueError(f"unknown transport scheme {scheme!r}")
+
+
 def _scalar_face_fluxes(grid: Grid, q, ux, uy, scheme: str):
     """Mass fluxes q*u on faces; upwind or centered face value of q."""
     fx = grid.zeros_xface()
     fy = grid.zeros_yface()
-    if scheme == "upwind":
-        qx = np.where(ux[1:-1, :] > 0.0, q[:-1, :], q[1:, :])
-        qy = np.where(uy[:, 1:-1] > 0.0, q[:, :-1], q[:, 1:])
-    elif scheme == "centered":
-        qx = 0.5 * (q[:-1, :] + q[1:, :])
-        qy = 0.5 * (q[:, :-1] + q[:, 1:])
-    else:
-        raise ValueError(f"unknown transport scheme {scheme!r}")
-    fx[1:-1, :] = ux[1:-1, :] * qx
-    fy[:, 1:-1] = uy[:, 1:-1] * qy
+    vx, vy = ux[1:-1, :], uy[:, 1:-1]
+    fx[1:-1, :] = vx * _face_value(q[:-1, :], q[1:, :], vx, scheme)
+    fy[:, 1:-1] = vy * _face_value(q[:, :-1], q[:, 1:], vy, scheme)
     # u is no-slip so the wall flux is physically zero; keep it exact
     return fx, fy
 
@@ -141,29 +145,24 @@ def momentum_advection(grid: Grid, rho, ux, uy, scheme: str = "upwind") -> FaceF
     """
     hx, hy = grid.hx, grid.hy
 
-    def pick(a_lo, a_hi, vel):
-        if scheme == "upwind":
-            return np.where(vel > 0.0, a_lo, a_hi)
-        return 0.5 * (a_lo + a_hi)
-
     # --- x momentum, control volumes around x-faces ---
     mx = face_average_x(rho) * ux  # (nx+1, ny)
     # x-direction fluxes at cell centers
     uc, vc = face_to_center(ux, uy)  # (nx, ny) each
-    fxc = uc * pick(mx[:-1, :], mx[1:, :], uc)
+    fxc = uc * _face_value(mx[:-1, :], mx[1:, :], uc, scheme)
     # y-direction fluxes at interior nodes; wall nodes carry zero velocity
     vn = 0.5 * (uy[:-1, 1:-1] + uy[1:, 1:-1])  # (nx-1, ny-1), nodes i=1..nx-1, j=1..ny-1
     fxn = np.zeros((grid.nx - 1, grid.ny + 1))
-    fxn[:, 1:-1] = vn * pick(mx[1:-1, :-1], mx[1:-1, 1:], vn)
+    fxn[:, 1:-1] = vn * _face_value(mx[1:-1, :-1], mx[1:-1, 1:], vn, scheme)
     ax = grid.zeros_xface()
     ax[1:-1, :] = (fxc[1:, :] - fxc[:-1, :]) / hx + (fxn[:, 1:] - fxn[:, :-1]) / hy
 
     # --- y momentum, control volumes around y-faces ---
     my = face_average_y(rho) * uy  # (nx, ny+1)
-    fyc = vc * pick(my[:, :-1], my[:, 1:], vc)
+    fyc = vc * _face_value(my[:, :-1], my[:, 1:], vc, scheme)
     un = 0.5 * (ux[1:-1, :-1] + ux[1:-1, 1:])  # (nx-1, ny-1)
     fyn = np.zeros((grid.nx + 1, grid.ny - 1))
-    fyn[1:-1, :] = un * pick(my[:-1, 1:-1], my[1:, 1:-1], un)
+    fyn[1:-1, :] = un * _face_value(my[:-1, 1:-1], my[1:, 1:-1], un, scheme)
     ay = grid.zeros_yface()
     ay[:, 1:-1] = (fyc[:, 1:] - fyc[:, :-1]) / hy + (fyn[1:, :] - fyn[:-1, :]) / hx
 
@@ -186,8 +185,7 @@ def eps_gradrho_gradu(grid: Grid, rho, ux, uy, eps: float) -> FaceField:
 
     # x faces: d(rho)/dx natural, d(rho)/dy averaged from 4 adjacent y-faces
     drdx = grho.x[1:-1, :]  # (nx-1, ny)
-    gy = grho.y  # (nx, ny+1), zero on wall rows
-    drdy = 0.25 * (gy[:-1, :-1] + gy[:-1, 1:] + gy[1:, :-1] + gy[1:, 1:])  # (nx-1, ny)
+    drdy = box_average(grho.y)  # (nx-1, ny); grho.y is zero on the walls
     uxg, uyg = noslip_ghosts(ux, uy)
     duxdx = (ux[2:, :] - ux[:-2, :]) / (2.0 * hx)
     duxdy = (uxg[1:-1, 2:] - uxg[1:-1, :-2]) / (2.0 * hy)
@@ -195,8 +193,7 @@ def eps_gradrho_gradu(grid: Grid, rho, ux, uy, eps: float) -> FaceField:
 
     # y faces, mirror roles
     drdy2 = grho.y[:, 1:-1]  # (nx, ny-1)
-    gx = grho.x  # (nx+1, ny)
-    drdx2 = 0.25 * (gx[:-1, :-1] + gx[:-1, 1:] + gx[1:, :-1] + gx[1:, 1:])  # (nx, ny-1)
+    drdx2 = box_average(grho.x)  # (nx, ny-1)
     duydy = (uy[:, 2:] - uy[:, :-2]) / (2.0 * hy)
     duydx = (uyg[2:, 1:-1] - uyg[:-2, 1:-1]) / (2.0 * hx)
     fy[:, 1:-1] = eps * (drdx2 * duydx + drdy2 * duydy)
@@ -223,6 +220,13 @@ def face_average_y(q: np.ndarray) -> np.ndarray:
     out[:, 0] = q[:, 0]
     out[:, -1] = q[:, -1]
     return out
+
+
+def box_average(a: np.ndarray) -> np.ndarray:
+    """Mean of each 2x2 block of neighbours, one entry smaller each way:
+    node values to cell centers, or one face family to the other's
+    interior faces."""
+    return 0.25 * (a[:-1, :-1] + a[:-1, 1:] + a[1:, :-1] + a[1:, 1:])
 
 
 def face_to_center(ux: np.ndarray, uy: np.ndarray):

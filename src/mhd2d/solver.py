@@ -2,12 +2,12 @@
 
 One step is a Lie splitting in three stages:
 
-  1. explicit monotone transport of rho and b by the current velocity
-     (identical linear update for both scalars, which is what propagates
-     the ratio envelope C*rho <= b <= C^*rho exactly);
+  1. explicit monotone transport of rho and b by the current velocity and
   2. implicit Neumann diffusion solves for eps*Lap(rho), eps*Lap(b)
      (M-matrix, unconditionally stable, mass restored to the exact value
-     the matrix column sums dictate);
+     the matrix column sums dictate): one scalar stage, run for rho and
+     then for b, so both get the identical linear update that propagates
+     the ratio envelope C*rho <= b <= C^*rho exactly;
   3. momentum update: explicit advection + pressure gradient +
      eps*(grad rho . grad)u, then one implicit solve for the full
      viscous operator mu*Lap(u) + (mu+lam)*grad(div u) with no-slip.
@@ -17,12 +17,13 @@ restriction; the step size is limited by the advective/acoustic CFL
 condition only, with the artificial-pressure sound speed included so the
 explicit pressure coupling stays stable.
 
-Both implicit solves are conjugate gradients, plain for diffusion (relative
-residual 1e-12) and Jacobi-preconditioned for viscosity (1e-10, started
-from the old velocity).  Each works on one flat vector whose rows carry a
-zero ghost column, so every stencil neighbour is a contiguous shift; the
-fused matvecs and the CG updates run in place in buffers allocated once
-per solve.  Dot products use numpy's einsum loop, not BLAS, so the result
+Both implicit solves are conjugate gradients to a fixed relative residual,
+which no caller can loosen: plain CG to 1e-12 for diffusion and
+Jacobi-preconditioned CG to 1e-10 for viscosity, started from the old
+velocity.  Each works on one flat vector whose rows carry a zero ghost
+column, so every stencil neighbour is a contiguous shift; the fused
+matvecs and the CG updates run in place in buffers allocated once per
+solve.  Dot products use numpy's einsum loop, not BLAS, so the result
 does not depend on the BLAS thread count.  A non-finite right-hand side or
 residual, CG breakdown and the iteration cap raise LinearSolveDivergence
 naming the solve.
@@ -94,12 +95,12 @@ class Trajectory:
 
     grid: Grid
     params: SimulationParams
-    times: list[float]
     states: list[State]
 
-    def append(self, state: State) -> None:
-        self.times.append(state.t)
-        self.states.append(state)
+    @property
+    def times(self) -> list[float]:
+        """The snapshot times, read from the states themselves."""
+        return [st.t for st in self.states]
 
 
 # ------------------------------------------------------------------
@@ -252,19 +253,18 @@ def implicit_diffusion_solve(
     q: np.ndarray,
     coef: float,
     dt: float,
-    tol: float = 1e-12,
     max_iter: int | None = None,
 ) -> np.ndarray:
     """Solve (I - coef*dt*Lap) q' = q by conjugate gradients, Neumann walls.
 
-    Relative residual is driven below `tol` (well under the 1e-10 the
-    solver contract requires).  The cell sum of q' is restored to the
-    exact value the unit column sums of the matrix dictate.  Raises
+    The relative residual is driven below 1e-12.  The cell sum of q' is
+    restored to the exact value the unit column sums of the matrix
+    dictate.  Raises
     ValidationError when coef*dt is negative or not finite, and
     LinearSolveDivergence after 10*(nx+ny) iterations, on a non-finite q
     or residual, and on CG breakdown.
     """
-    x, _ = _diffusion_solve_counted(grid, q, coef, dt, tol, max_iter)
+    x, _ = _diffusion_solve_counted(grid, q, coef, dt, max_iter)
     return x
 
 
@@ -288,7 +288,7 @@ def _diffusion_matvec(grid, diag, cx, cy, v, out, s):
     out.reshape(grid.nx, L)[:, -1] = 0.0
 
 
-def _diffusion_solve_counted(grid, q, coef, dt, tol=1e-12, max_iter=None):
+def _diffusion_solve_counted(grid, q, coef, dt, max_iter=None):
     c = coef * dt
     if not (math.isfinite(c) and c >= 0.0):
         raise ValidationError(f"diffusion solve needs a finite coef*dt >= 0, got {c}")
@@ -314,7 +314,7 @@ def _diffusion_solve_counted(grid, q, coef, dt, tol=1e-12, max_iter=None):
     b, diag = b.ravel(), diag.ravel()
     x = b.copy()
     it = _cg("diffusion", lambda v, out, s: _diffusion_matvec(grid, diag, cx, cy, v, out, s),
-             b, x, tol, max_iter)
+             b, x, 1e-12, max_iter)
 
     x = x.reshape(nx, ny + 1)[:, :ny].copy()
     # the matrix has unit column sums; pin the cell sum to the exact value
@@ -381,25 +381,21 @@ def _viscous_diagonals(grid, rfx, rfy, dt, mu, lam):
     return centre, jacobi
 
 
-def _viscous_matvec(grid, centre, dt, mu, lam, u, out=None, work=None):
+def _viscous_matvec(grid, centre, dt, mu, lam, u, out, work):
     """rho_f*u - dt*(mu*Lap_noslip(u) + (mu+lam)*grad(div u)), fused.
 
     `u` and `out` are flat face vectors (see _face_vector), `centre`
     comes from _viscous_diagonals.  div u is formed once; every term is
     a contiguous in-place update of `out`.  `work` is (scratch, div), a
-    face vector and a cell vector (allocated when not given); the scratch
-    holds u*mu*dt/hx^2, then u*mu*dt/hy^2, then the grad-div term.  Equal,
-    up to round-off, to the componentwise 5-point Laplacian with
+    face vector and a cell vector of rows ny+1; the scratch holds
+    u*mu*dt/hx^2, then u*mu*dt/hy^2, then the grad-div term.  Equal, up
+    to round-off, to the componentwise 5-point Laplacian with
     sign-flip tangential ghosts (see noslip_ghosts) plus
     gradient_cc_to_face(divergence_face_to_cc(u)), the reference
     composition kept in the tests.  The wall-normal faces and ghosts of
     `out` are zero.  Returns the (nx+1, ny) x-face and (nx, ny+1) y-face
     views of `out`.
     """
-    if out is None:
-        out = np.empty_like(u)
-    if work is None:
-        work = np.empty_like(u), np.empty(grid.nx * (grid.ny + 1))
     s, div = work
     L = grid.ny + 1
     n = (grid.nx + 1) * L
@@ -447,13 +443,14 @@ def _viscous_matvec(grid, centre, dt, mu, lam, u, out=None, work=None):
     return fx[:, :-1], fy
 
 
-def _viscous_solve(grid, rfx, rfy, mx, my, dt, mu, lam, guess, tol=1e-10):
+def _viscous_solve(grid, rfx, rfy, mx, my, dt, mu, lam, guess):
     """Solve (rho_f*I - dt*(mu*Lap + (mu+lam)*grad div)) u = m, no-slip.
 
     The operator is symmetric positive definite in the plain face inner
     product (uniform mesh), so Jacobi-preconditioned CG applies, on one
-    flat face vector starting from `guess`.  The wall-normal faces are
-    pinned to zero.  Returns (ux, uy, iterations).
+    flat face vector starting from `guess`, to a relative residual of
+    1e-10.  The wall-normal faces are pinned to zero.  Returns (ux, uy,
+    iterations).
     """
     max_iter = 10 * (grid.nx + grid.ny)
     centre, jacobi = _viscous_diagonals(grid, rfx, rfy, dt, mu, lam)
@@ -465,7 +462,7 @@ def _viscous_solve(grid, rfx, rfy, mx, my, dt, mu, lam, guess, tol=1e-10):
     it = _cg(
         "viscous",
         lambda v, out, s: _viscous_matvec(grid, centre, dt, mu, lam, v, out, (s, div)),
-        b, x, tol, max_iter, jacobi,
+        b, x, 1e-10, max_iter, jacobi,
     )
     xx, xy = _faces(x, grid)
     ux, uy = xx[:, :-1].copy(), xy.copy()
@@ -503,19 +500,19 @@ def step(
     src = sources(grid, state.t) if sources is not None else None
     iters = 0
 
-    # (1) explicit transport, same linear update for both scalars
-    rho1 = rho - dt * upwind_scalar_flux_div(grid, rho, ux, uy, scheme)
-    b1 = b - dt * upwind_scalar_flux_div(grid, b, ux, uy, scheme)
-    if src is not None:
-        rho1 = rho1 + dt * src.rho
-        b1 = b1 + dt * src.b
-
-    # (2) implicit diffusion
-    if params.eps > 0.0:
-        rho1, it_r = _diffusion_solve_counted(grid, rho1, params.eps, dt)
-        b1, it_b = _diffusion_solve_counted(grid, b1, params.eps, dt)
-        iters += it_r + it_b
-
+    # (1) explicit transport and (2) implicit diffusion: one scalar stage,
+    # the same linear update for rho and then for b
+    scalars = []
+    for name in ("rho", "b"):
+        q = getattr(state, name)
+        q = q - dt * upwind_scalar_flux_div(grid, q, ux, uy, scheme)
+        if src is not None:
+            q = q + dt * getattr(src, name)
+        if params.eps > 0.0:
+            q, it = _diffusion_solve_counted(grid, q, params.eps, dt)
+            iters += it
+        scalars.append(q)
+    rho1, b1 = scalars
     _check_positive(rho1, b1, state.t, dt)
 
     # (3) momentum
@@ -609,7 +606,7 @@ def run(
             "steps": 0,
         }
     )
-    traj = Trajectory(grid=grid, params=params, times=[], states=[])
+    traj = Trajectory(grid=grid, params=params, states=[])
 
     rts = None
     if record_times is not None:
@@ -617,7 +614,7 @@ def run(
 
     first = record_state(state, params, grid)
     series.append(first)
-    traj.append(state)
+    traj.states.append(state)
     # total_energy of the current state: computed once per state, for the
     # energy metadata and for its record
     energy = first.energy
@@ -649,17 +646,17 @@ def run(
             if record_times is not None:
                 if state.t == target and target != t_final:
                     series.append(record_state(state, params, grid, energy=energy))
-                    traj.append(state)
+                    traj.states.append(state)
             else:
                 if steps % config.record_interval == 0:
                     series.append(record_state(state, params, grid, energy=energy))
                 if steps % config.snapshot_interval == 0:
-                    traj.append(state)
+                    traj.states.append(state)
         # terminal record/snapshot, unless the loop already emitted one
         if not series.records or series.records[-1].t != state.t:
             series.append(record_state(state, params, grid, energy=energy))
-        if not traj.times or traj.times[-1] != state.t:
-            traj.append(state)
+        if not traj.states or traj.states[-1].t != state.t:
+            traj.states.append(state)
         series.metadata["steps"] = steps
     finally:
         if output_dir is not None:

@@ -85,6 +85,18 @@ def _eval_sites(fn, x, y, t):
     return np.broadcast_to(out, shape).copy() if out.shape != shape else out
 
 
+def _sample_sites(fns, grid: Grid, t: float):
+    """(rho, b, ux, uy) of the compiled formulas `fns` at time t: the one
+    site sampler of solutions and sources.  rho and b are taken at the
+    cell centers, ux and uy on their faces, and no-slip is re-pinned
+    exactly."""
+    xc, yc = grid.xc, grid.yc
+    ux = _eval_sites(fns["ux"], grid.xf, yc, t)
+    uy = _eval_sites(fns["uy"], xc, grid.yf, t)
+    pin_noslip(ux, uy)
+    return _eval_sites(fns["rho"], xc, yc, t), _eval_sites(fns["b"], xc, yc, t), ux, uy
+
+
 # ------------------------------------------------------------------
 # Manufactured solutions
 # ------------------------------------------------------------------
@@ -107,12 +119,7 @@ class ManufacturedSolution:
 
     def sample(self, grid: Grid, t: float) -> State:
         """Fields sampled at their native grid sites; no-slip re-pinned exactly."""
-        xc, yc = grid.xc, grid.yc
-        rho = _eval_sites(self._fn["rho"], xc, yc, t)
-        b = _eval_sites(self._fn["b"], xc, yc, t)
-        ux = _eval_sites(self._fn["ux"], grid.xf, yc, t)
-        uy = _eval_sites(self._fn["uy"], xc, grid.yf, t)
-        pin_noslip(ux, uy)
+        rho, b, ux, uy = _sample_sites(self._fn, grid, t)
         return State(rho=rho, b=b, ux=ux, uy=uy, t=float(t))
 
 
@@ -150,8 +157,9 @@ def mms_sources(ms: ManufacturedSolution, params: SimulationParams):
     common-subexpression elimination (_compile with cse=True), which shares
     the repeated derivative terms at evaluation time, and without
     sp.simplify, whose seconds of symbolic work per call buy nothing
-    numerically.  The compiled formulas are evaluated on 1-D coordinate
-    columns and rows (see _eval_sites), not on full meshgrids.
+    numerically.  The compiled formulas are sampled like the solution
+    itself (see _sample_sites and _eval_sites): on 1-D coordinate columns
+    and rows, not on full meshgrids.
     """
     import sympy as sp
 
@@ -189,12 +197,7 @@ def mms_sources(ms: ManufacturedSolution, params: SimulationParams):
     fns = {k: _compile(e, cse=True) for k, e in exprs.items()}
 
     def evaluate(grid: Grid, t: float) -> Sources:
-        xc, yc = grid.xc, grid.yc
-        sux = _eval_sites(fns["ux"], grid.xf, yc, t)
-        suy = _eval_sites(fns["uy"], xc, grid.yf, t)
-        pin_noslip(sux, suy)
-        return Sources(rho=_eval_sites(fns["rho"], xc, yc, t),
-                       b=_eval_sites(fns["b"], xc, yc, t), ux=sux, uy=suy)
+        return Sources(*_sample_sites(fns, grid, t))
 
     return evaluate
 
@@ -441,7 +444,7 @@ def epsilon_sweep(config: Config, eps_list, n_records: int = 21) -> SweepReport:
         )
         row["eps_grad_rho_l2l2"] = params.eps * _grad_l2l2(traj, "rho")
         row["eps_grad_b_l2l2"] = params.eps * _grad_l2l2(traj, "b")
-        row["evf_pairing"] = evf_pairing(traj, test, params, weight="sum")
+        row["evf_pairing"] = evf_pairing(traj, test, weight="sum")
 
     def compare(row, traj, finest_row, finest):
         row["comp_defect_rho"] = composition_defect(traj, finest, p=2.0, component="rho")
@@ -507,7 +510,7 @@ def delta_sweep(config: Config, delta_list, n_records: int = 21) -> SweepReport:
         row["delta_pressure_int"] = float(
             np.trapezoid(series.column("delta_pressure_L1"), series.column("t"))
         )
-        row["evf_tk_pairing"] = evf_pairing(traj, test, params, weight="tk", k=1.0)
+        row["evf_tk_pairing"] = evf_pairing(traj, test, weight="tk", k=1.0)
 
     def compare(row, traj, finest_row, finest):
         row["evf_tk_defect"] = finest_row["evf_tk_pairing"] - row["evf_tk_pairing"]

@@ -193,6 +193,17 @@ def test_sweep_delta_cli(small_cfg, tmp_path, capsys):
     assert (out / "smoke_sweep_delta.csv").exists()
 
 
+def test_sweep_eps_cli_exits_1_when_a_member_fails(small_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli_main(["sweep-eps", small_cfg, "--output-dir", str(out),
+                     "--eps-list", "1e-2,-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "eps=-1: FAILED ValidationError" in captured.out
+    assert captured.err.strip() == "1 member(s) failed"
+    assert (out / "smoke_sweep_eps.csv").exists()
+
+
 def test_mms_cli_tiny(small_cfg, tmp_path, capsys):
     out = tmp_path / "out"
     code = cli_main(["mms", small_cfg, "--output-dir", str(out),

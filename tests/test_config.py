@@ -17,7 +17,6 @@ def test_minimal_document_gets_documented_defaults():
     assert p.a == 1.0 and p.gamma == 1.4 and p.mu == 0.1 and p.lam == 0.0
     assert p.Gamma == 6.0 and p.cfl == 0.4
     assert p.eps == 1e-2 and p.delta == 1e-2  # regularized-mode defaults
-    assert cfg.mode == "regularized"
     assert cfg.record_interval == 10 and cfg.snapshot_interval == 100
     assert cfg.init.kind == "constant"
 
@@ -25,6 +24,12 @@ def test_minimal_document_gets_documented_defaults():
 def test_target_mode_defaults_to_unregularized():
     cfg = parse_config(MINIMAL + "mode = target\n")
     assert cfg.params.eps == 0.0 and cfg.params.delta == 0.0
+
+
+@pytest.mark.parametrize("key", ["eps", "delta"])
+def test_target_mode_rejects_a_regularization(key):
+    with pytest.raises(ValidationError, match="mode=target requires eps = 0 and delta = 0"):
+        parse_config(MINIMAL + f"mode = target\n{key} = 1e-3\n")
 
 
 def test_comments_and_blank_lines_ignored():
@@ -135,7 +140,8 @@ def test_with_params_revalidates():
 
 
 # every key the parser accepts, with a raw value and what it must parse to
-# (value and exact type); the parameter and init_ tables are derived from
+# (value and exact type; None for the mode key, which only picks the
+# eps/delta defaults and is not kept in the Config); the parameter and init_ tables are derived from
 # the SimulationParams and InitialDataSpec fields, so this pins them
 GOLDEN_KEYS = {
     "a": ("2", ("params", "a", 2.0)),
@@ -169,7 +175,7 @@ GOLDEN_KEYS = {
     "init_m": ("1e-6", ("init", "m", 1e-6)),
     "init_M": ("50", ("init", "M", 50.0)),
     "init_path": ("data/start.mhd2", ("init", "path", "data/start.mhd2")),
-    "mode": ("regularized", (None, "mode", "regularized")),
+    "mode": ("regularized", None),  # picks the eps/delta defaults, stored nowhere
     "record_interval": ("5", (None, "record_interval", 5)),
     "snapshot_interval": ("20", (None, "snapshot_interval", 20)),
     "output_dir": ("results", (None, "output_dir", "results")),
@@ -185,7 +191,10 @@ def test_golden_key_set_and_conversions():
     derived = set(config._PARAM_KEYS) | set(config._INIT_KEYS)
     assert derived | {"mode", "record_interval", "snapshot_interval", "output_dir", "run_id"} == set(GOLDEN_KEYS)
     cfg = parse_config("".join(f"{k} = {raw}\n" for k, (raw, _) in GOLDEN_KEYS.items()))
-    for key, (raw, (part, attr, want)) in GOLDEN_KEYS.items():
+    for key, (raw, target) in GOLDEN_KEYS.items():
+        if target is None:
+            continue
+        part, attr, want = target
         got = getattr(cfg if part is None else getattr(cfg, part), attr)
         assert got == want and type(got) is type(want), (key, got)
     with pytest.raises(ParseError, match="unknown key 'init_lam'"):

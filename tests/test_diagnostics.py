@@ -13,6 +13,7 @@ from mhd2d.diagnostics import (
     convex_fraction_functional,
     cutoff_tk,
     cutoff_tk_d1,
+    cutoff_tk_d2,
     dissipation_rate,
     effective_viscous_flux_field,
     evf_pairing,
@@ -46,10 +47,8 @@ def uniform_state(grid, rho=1.0, b=1.0, t=0.0):
 
 
 def constant_trajectory(grid, p, times, rho=1.0, b=1.0):
-    return Trajectory(
-        grid=grid, params=p, times=list(times),
-        states=[uniform_state(grid, rho, b, t) for t in times],
-    )
+    return Trajectory(grid=grid, params=p,
+                      states=[uniform_state(grid, rho, b, t) for t in times])
 
 
 # ------------------------------------------------------------------
@@ -218,6 +217,16 @@ def test_cutoff_c1_at_joints():
             assert abs(cutoff_tk_d1(z0, k) - right) < 1e-5
 
 
+def test_cutoff_second_derivative_matches_differences_of_the_first():
+    # central differences of T_k' away from the kinks at k and 3k
+    h = 1e-6
+    for k in (1.0, 2.5):
+        z = k * np.array([0.2, 0.9, 1.1, 2.0, 2.9, 3.1, 5.0])
+        num = (cutoff_tk_d1(z + h, k) - cutoff_tk_d1(z - h, k)) / (2.0 * h)
+        assert np.abs(num - cutoff_tk_d2(z, k)).max() < 1e-8
+        assert np.any(cutoff_tk_d2(z, k) != 0.0)
+
+
 # ------------------------------------------------------------------
 # test functions
 # ------------------------------------------------------------------
@@ -260,7 +269,7 @@ def test_evf_pairing_factorizes_for_constant_in_time_fields():
     times = np.linspace(0.0, 1.0, 41)
     traj = constant_trajectory(g, p, times, rho=1.2, b=0.7)
     test = TestFunction.centered_in(g, 1.0)
-    val = evf_pairing(traj, test, p)
+    val = evf_pairing(traj, test)
     X, Y = g.center_mesh()
     evf = effective_viscous_flux_field(traj.states[0], p, g)
     spatial = float(np.sum(test.phi(X, Y) * evf * (1.2 + 0.7))) * g.cell_area
@@ -275,8 +284,8 @@ def test_evf_pairing_tk_weight_constant_fields():
     traj = constant_trajectory(g, p, times, rho=0.5, b=0.5)
     test = TestFunction.centered_in(g, 1.0)
     # below the cut-off level both weights are the identity
-    assert evf_pairing(traj, test, p, weight="tk", k=1.0) == pytest.approx(
-        evf_pairing(traj, test, p, weight="sum"), rel=1e-12
+    assert evf_pairing(traj, test, weight="tk", k=1.0) == pytest.approx(
+        evf_pairing(traj, test, weight="sum"), rel=1e-12
     )
 
 
@@ -310,6 +319,36 @@ def test_renormalized_identity_reduces_to_weak_mass():
     a = renormalized_residual(traj, test, h_choice="identity", which="mass")
     b = weak_residual(traj, test, "mass")
     assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("which", ["rho", "magnetic", "bogus"])
+def test_renormalized_residual_rejects_an_unknown_field(which):
+    p = params(t_final=1.0)
+    g = build_grid(p)
+    # the snapshots miss the test's support: the field is checked first
+    traj = constant_trajectory(g, p, np.linspace(0.0, 0.3, 4))
+    with pytest.raises(ValueError, match=f"unknown field '{which}', pick 'mass' or 'b'"):
+        renormalized_residual(traj, TestFunction.centered_in(g, 1.0), which=which)
+
+
+def test_renormalized_residual_with_diffusion_vanishes_under_refinement():
+    # at eps > 0 the residual holds the -eps*h''(q)|grad q|^2 and
+    # -eps*h'(q) grad q . grad(psi phi) corrections; rho near 1 (k = 1) and
+    # b in about [0.68, 1.93] (k = 1.2) both reach the cut-off's curved
+    # segment, so both corrections are nonzero.  Without them the residual
+    # stalls (reduction about 1.1); without the h'' one alone the b
+    # residual falls about 4x, faster than first-order transport allows.
+    spec = InitialDataSpec(kind="ratio-profile", rho_amp=0.1, kx=1, ky=1,
+                           ratio_mid=1.25, ratio_amp=0.5, jx=1, jy=0, u_amp=0.3)
+    res = {}
+    for n, nrec in ((32, 21), (64, 41)):
+        p = params(nx=n, ny=n, eps=1e-2, delta=0.0, t_final=0.5)
+        traj, _ = run(Config(params=p, init=spec), record_times=list(np.linspace(0.0, 0.5, nrec)))
+        test = TestFunction.centered_in(traj.grid, 0.5)
+        res[n] = (renormalized_residual(traj, test, "tk", 1.0, "mass"),
+                  renormalized_residual(traj, test, "tk", 1.2, "b"))
+    for coarse, fine in zip(res[32], res[64]):
+        assert 1.5 <= abs(coarse) / abs(fine) <= 3.0, (coarse, fine)
 
 
 def test_momentum_weak_residual_constant_state():
@@ -415,7 +454,7 @@ def test_composition_defect_shared_constant_ratio():
             rho = rho_scale * (1.0 + 0.5 * rng.random((g.nx, g.ny)))
             states.append(State(rho=rho, b=C * rho, ux=np.zeros((g.nx + 1, g.ny)),
                                 uy=np.zeros((g.nx, g.ny + 1)), t=t))
-        return Trajectory(grid=g, params=p, times=list(times), states=states)
+        return Trajectory(grid=g, params=p, states=states)
 
     d = composition_defect(traj_with(1.0), traj_with(2.0), p=2.0)
     assert d < 1e-25
@@ -454,7 +493,7 @@ def random_trajectory(g, p, times, rng):
         )
         for t in times
     ]
-    return Trajectory(grid=g, params=p, times=list(times), states=states)
+    return Trajectory(grid=g, params=p, states=states)
 
 
 def test_entropy_comparison_pairs_each_snapshot_once(monkeypatch):

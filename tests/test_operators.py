@@ -8,6 +8,7 @@ import pytest
 from mhd2d.core import SimulationParams, build_grid, validate_params
 from mhd2d.operators import (
     FaceField,
+    box_average,
     divergence_face_to_cc,
     eps_gradrho_gradu,
     face_average_x,
@@ -253,6 +254,15 @@ def test_upwind_forward_euler_is_monotone():
         assert q1.max() <= q.max() + 1e-12
 
 
+@pytest.mark.parametrize("transport", [upwind_scalar_flux_div, momentum_advection])
+def test_transports_reject_an_unknown_scheme(transport):
+    g = make_grid()
+    rng = np.random.default_rng(5)
+    ux, uy = random_noslip_velocity(g, rng)
+    with pytest.raises(ValueError, match="unknown transport scheme 'bogus'"):
+        transport(g, 1.0 + rng.random((g.nx, g.ny)), ux, uy, "bogus")
+
+
 # ------------------------------------------------------------------
 # momentum advection
 # ------------------------------------------------------------------
@@ -323,6 +333,16 @@ def test_drag_linear_fields_hand_stencil():
     f = eps_gradrho_gradu(g, X.copy(), ux, uy, eps)
     assert np.allclose(f.x[1:-1, :], eps, rtol=0, atol=1e-13)
     assert np.abs(f.y).max() < 1e-13
+
+
+def test_box_average_is_exact_on_bilinear_fields():
+    # the mean of a 2x2 block of a bilinear field is its value at the
+    # block's centre
+    i, j = np.meshgrid(np.arange(7.0), np.arange(5.0), indexing="ij")
+    f = lambda a, b: 1.5 + 2.0 * a - 0.5 * b + 0.25 * a * b
+    avg = box_average(f(i, j))
+    assert avg.shape == (6, 4)
+    assert np.allclose(avg, f(i[:-1, :-1] + 0.5, j[:-1, :-1] + 0.5), rtol=0, atol=1e-13)
 
 
 def test_face_averages_match_midpoints():

@@ -251,6 +251,16 @@ def test_csv_bad_row_width(tmp_path):
         read_timeseries_csv(path)
 
 
+def test_csv_non_numeric_value_names_path_and_line(tmp_path):
+    path = tmp_path / "bad4.csv"
+    write_timeseries_csv([awkward_record(1.0), awkward_record(2.0)], path)
+    lines = path.read_text().splitlines()
+    lines[2] = "oops," + lines[2].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=r"bad4\.csv:3: could not convert string to float: 'oops'"):
+        read_timeseries_csv(path)
+
+
 def test_csv_write_error_names_path(tmp_path):
     with pytest.raises(OSError, match="cannot write time series"):
         write_timeseries_csv(DiagnosticsSeries(), tmp_path / "no" / "dir" / "x.csv")

@@ -351,6 +351,13 @@ def test_epsilon_sweep_records_member_failure_and_continues():
     assert rep.rows[0]["dist_rho"] == 0.0
 
 
+def test_sweep_summary_prints_the_failed_member():
+    cfg = small_sweep_config(eps=1e-2, delta=1e-2)
+    lines = epsilon_sweep(cfg, [1e-2, -1.0], n_records=5).summary_text().splitlines()
+    assert lines[2] == "  eps=-1: FAILED ValidationError: eps must be >= 0, got -1.0"
+    assert lines[1].startswith("  eps=0.01: sup_energy=")
+
+
 def test_epsilon_sweep_order_note_survives_a_failing_last_member():
     # the order note fits the members that ran other than the finest one
     cfg = small_sweep_config(eps=1e-2, delta=1e-2)
