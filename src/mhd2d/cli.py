@@ -182,12 +182,12 @@ def _cmd_verify(config: Config) -> int:
     """Run the config and evaluate every runtime invariant at its tolerance."""
     config = replace(config, record_interval=1, snapshot_interval=10 ** 9)
     grid = build_grid(config.params)
-    _state0, env = init_state(grid, config.init)
+    state0, env = init_state(grid, config.init)
 
     checks: list[tuple[str, bool, str]] = []
     aborted = None
     try:
-        traj, series = run(config)
+        traj, series = run(config, initial_state=state0)
     except Mhd2dError as exc:
         aborted = exc
         traj, series = None, None

@@ -166,9 +166,6 @@ class Grid:
     def yface_mesh(self):
         return np.meshgrid(self.xc, self.yf, indexing="ij")
 
-    def zeros_cc(self) -> np.ndarray:
-        return np.zeros((self.nx, self.ny))
-
     def zeros_xface(self) -> np.ndarray:
         return np.zeros((self.nx + 1, self.ny))
 

@@ -86,9 +86,6 @@ class DiagnosticsSeries:
     records: list[DiagnosticsRecord] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    def append(self, rec: DiagnosticsRecord) -> None:
-        self.records.append(rec)
-
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
 
@@ -404,16 +401,16 @@ def evf_pairing(traj, test: TestFunction, weight: str = "sum", k: float = 1.0) -
     T_k(rho)+T_k(b) for weight="tk" (the second).  Trapezoid in time,
     midpoint in space.
     """
+    if weight not in ("sum", "tk"):
+        raise ValueError(f"unknown weight {weight!r}, pick 'sum' or 'tk'")
     params, grid = traj.params, traj.grid
 
     def integrand(st, psi, dpsi, phi, *_):
         evf = effective_viscous_flux_field(st, params, grid)
         if weight == "sum":
             w = st.rho + st.b
-        elif weight == "tk":
-            w = cutoff_tk(st.rho, k) + cutoff_tk(st.b, k)
         else:
-            raise ValueError(f"unknown weight {weight!r}")
+            w = cutoff_tk(st.rho, k) + cutoff_tk(st.b, k)
         return (psi * (float(np.sum(phi * evf * w)) * grid.cell_area),)
 
     return _spacetime_integral(traj, test, integrand)[0]
@@ -563,18 +560,15 @@ def composition_defect(traj_a, traj_b, p: float = 2.0, component: str = "rho") -
     """
     if not p > 1.0:
         raise ValueError(f"exponent p must exceed 1, got {p}")
+    if component not in ("rho", "b"):
+        raise ValueError(f"unknown component {component!r}, pick 'rho' or 'b'")
     _require_shared_axis(traj_a, traj_b)
     grid = traj_a.grid
     vals = []
     for sa, sb in zip(traj_a.states, traj_b.states):
         da = sa.rho + sa.b
         db = sb.rho + sb.b
-        if component == "rho":
-            fa, fb = sa.rho / da, sb.rho / db
-        elif component == "b":
-            fa, fb = sa.b / da, sb.b / db
-        else:
-            raise ValueError(f"unknown component {component!r}")
+        fa, fb = getattr(sa, component) / da, getattr(sb, component) / db
         vals.append(float(np.sum(da * np.abs(fa - fb) ** p)) * grid.cell_area)
     return float(np.trapezoid(vals, traj_a.times))
 
@@ -583,19 +577,8 @@ def composition_defect(traj_a, traj_b, p: float = 2.0, component: str = "rho") -
 # Per-record assembly
 # ------------------------------------------------------------------
 
-def record_state(
-    state: State,
-    params: SimulationParams,
-    grid: Grid,
-    *,
-    energy: float | None = None,
-) -> DiagnosticsRecord:
-    """One row of the functional time series.
-
-    `energy`, when given, is total_energy of this very state computed
-    earlier (run() measures every state it steps to); it is used instead
-    of being computed again.
-    """
+def record_state(state: State, params: SimulationParams, grid: Grid) -> DiagnosticsRecord:
+    """One row of the functional time series."""
     rho, b = state.rho, state.b
     area = grid.cell_area
     rmin, rmax = ratio_bounds(state)
@@ -606,7 +589,7 @@ def record_state(
         dp = 0.0
     return DiagnosticsRecord(
         t=state.t,
-        energy=total_energy(state, params, grid) if energy is None else energy,
+        energy=total_energy(state, params, grid),
         dissipation=_dissipation_rate(state, params, grid, grad_sq, div_sq),
         mass_rho=float(np.sum(rho)) * area,
         mass_b=float(np.sum(b)) * area,

@@ -23,7 +23,6 @@ __all__ = [
     "FaceField",
     "gradient_cc_to_face",
     "divergence_face_to_cc",
-    "laplacian_neumann",
     "noslip_ghosts",
     "node_shear",
     "upwind_scalar_flux_div",
@@ -63,15 +62,6 @@ def divergence_face_to_cc(grid: Grid, f: FaceField) -> np.ndarray:
     """Conservative flux difference per cell."""
     fx, fy = f
     return (fx[1:, :] - fx[:-1, :]) / grid.hx + (fy[:, 1:] - fy[:, :-1]) / grid.hy
-
-
-def laplacian_neumann(grid: Grid, q: np.ndarray) -> np.ndarray:
-    """5-point Laplacian with mirrored ghost cells (zero-flux walls).
-
-    Composition div(grad q): row and column sums vanish, the operator is
-    symmetric negative semidefinite, constants are in its kernel.
-    """
-    return divergence_face_to_cc(grid, gradient_cc_to_face(grid, q))
 
 
 def noslip_ghosts(ux: np.ndarray, uy: np.ndarray):

@@ -573,7 +573,8 @@ def run(
     """Integrate to t_final, collecting diagnostics and snapshots.
 
     Deterministic for a fixed config.  Recording is step-interval based
-    (config.record_interval / config.snapshot_interval); pass
+    (config.record_interval / config.snapshot_interval), and the first and
+    the last state are always recorded and stored; pass
     `record_times` instead to force records and snapshots at exact time
     points (the step is then capped to land on them), which is how sweep
     members end up on a shared quadrature grid.  When `output_dir` is
@@ -596,28 +597,14 @@ def run(
         check_state(state, grid)
         stable_dt(state, params, grid)
 
-    series = DiagnosticsSeries(
-        metadata={
-            "run_id": getattr(config, "run_id", "run"),
-            "elastic_energy": "isothermal(rho*log rho)" if params.gamma == 1.0 else "gamma-law",
-            "energy_pos_drift": 0.0,
-            "max_step_energy_increase": 0.0,
-            "max_energy_increase_rate": 0.0,
-            "steps": 0,
-        }
-    )
-    traj = Trajectory(grid=grid, params=params, states=[])
-
     rts = None
     if record_times is not None:
         rts = [t for t in sorted(float(t) for t in record_times) if t > 0.0]
 
-    first = record_state(state, params, grid)
-    series.append(first)
-    traj.states.append(state)
-    # total_energy of the current state: computed once per state, for the
-    # energy metadata and for its record
-    energy = first.energy
+    series = DiagnosticsSeries(records=[record_state(state, params, grid)])
+    traj = Trajectory(grid=grid, params=params, states=[state])
+    # total_energy of every state, once: from its record when it has one
+    energies, dts = [series.records[0].energy], []
 
     t_final = params.t_final
     tiny = _time_resolution(t_final)
@@ -634,30 +621,33 @@ def run(
             if abs(state.t - target) <= 4.0 * tiny:
                 state = replace(state, t=target)
             steps += 1
-            energy_before, energy = energy, total_energy(state, params, grid)
-            inc = max(energy - energy_before, 0.0)
-            series.metadata["energy_pos_drift"] += inc
-            series.metadata["max_step_energy_increase"] = max(
-                series.metadata["max_step_energy_increase"], inc
-            )
-            series.metadata["max_energy_increase_rate"] = max(
-                series.metadata["max_energy_increase_rate"], inc / rep.dt_used
-            )
+            # the run's last state is both recorded and stored
+            last = t_final - state.t <= tiny or steps == max_steps
             if record_times is not None:
-                if state.t == target and target != t_final:
-                    series.append(record_state(state, params, grid, energy=energy))
-                    traj.states.append(state)
+                record = snapshot = last or state.t == target
             else:
-                if steps % config.record_interval == 0:
-                    series.append(record_state(state, params, grid, energy=energy))
-                if steps % config.snapshot_interval == 0:
-                    traj.states.append(state)
-        # terminal record/snapshot, unless the loop already emitted one
-        if not series.records or series.records[-1].t != state.t:
-            series.append(record_state(state, params, grid, energy=energy))
-        if not traj.states or traj.states[-1].t != state.t:
-            traj.states.append(state)
-        series.metadata["steps"] = steps
+                record = last or steps % config.record_interval == 0
+                snapshot = last or steps % config.snapshot_interval == 0
+            if record:
+                series.records.append(record_state(state, params, grid))
+                energies.append(series.records[-1].energy)
+            else:
+                energies.append(total_energy(state, params, grid))
+            dts.append(rep.dt_used)
+            if snapshot:
+                traj.states.append(state)
+        incs = [max(e1 - e0, 0.0) for e0, e1 in zip(energies, energies[1:])]
+        drift = 0.0
+        for inc in incs:  # not sum(): from Python 3.12 it is compensated
+            drift += inc
+        series.metadata = {
+            "run_id": getattr(config, "run_id", "run"),
+            "elastic_energy": "isothermal(rho*log rho)" if params.gamma == 1.0 else "gamma-law",
+            "energy_pos_drift": drift,
+            "max_step_energy_increase": max([0.0, *incs]),
+            "max_energy_increase_rate": max([0.0, *(i / dt for i, dt in zip(incs, dts))]),
+            "steps": steps,
+        }
     finally:
         if output_dir is not None:
             _flush_outputs(config, traj, series, output_dir)

@@ -198,7 +198,7 @@ def read_timeseries_csv(path) -> DiagnosticsSeries:
                 vals = [float(p) for p in parts]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            series.append(DiagnosticsRecord(*vals))
+            series.records.append(DiagnosticsRecord(*vals))
     return series
 
 

@@ -118,6 +118,16 @@ def test_verify_reckless_cfl_fails_exit_1(tmp_path, capsys):
     assert "FAIL positivity" in out or "FAIL maximum-principle" in out
 
 
+def test_verify_initial_data_outside_bounds_exit_2(tmp_path, capsys):
+    path = tmp_path / "oob.cfg"
+    path.write_text(SMALL + "init_M = 1.5\n")
+    assert cli_main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: b0 range [")
+    assert "escapes declared bounds [1e-08, 1.5]" in captured.err
+
+
 def test_aborted_run_flushes_partial_outputs(tmp_path, capsys):
     path = tmp_path / "long.cfg"
     path.write_text(SMALL.replace("t_final = 0.05", "t_final = 1.0")

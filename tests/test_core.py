@@ -81,7 +81,6 @@ def test_grid_coordinates_and_shapes():
     g = build_grid(validate_params(SimulationParams(Lx=1.2, Ly=0.8, nx=6, ny=4)))
     assert g.xc.shape == (6,) and g.xf.shape == (7,)
     assert g.xc[0] == pytest.approx(0.1) and g.xf[-1] == pytest.approx(1.2)
-    assert g.zeros_cc().shape == (6, 4)
     assert g.zeros_xface().shape == (7, 4)
     assert g.zeros_yface().shape == (6, 5)
 

@@ -289,6 +289,15 @@ def test_evf_pairing_tk_weight_constant_fields():
     )
 
 
+def test_evf_pairing_rejects_an_unknown_weight():
+    p = params(t_final=1.0)
+    g = build_grid(p)
+    # the snapshots miss the test's support: the weight is checked first
+    traj = constant_trajectory(g, p, np.linspace(0.0, 0.3, 4))
+    with pytest.raises(ValueError, match="unknown weight 'bogus', pick 'sum' or 'tk'"):
+        evf_pairing(traj, TestFunction.centered_in(g, 1.0), weight="bogus")
+
+
 def test_weak_residual_constant_state_quadrature_level():
     # exact solution: the residual is pure time-quadrature error; on a grid
     # symmetric about the bump center the trapezoid of psi' cancels to
@@ -458,6 +467,14 @@ def test_composition_defect_shared_constant_ratio():
 
     d = composition_defect(traj_with(1.0), traj_with(2.0), p=2.0)
     assert d < 1e-25
+
+
+def test_composition_defect_rejects_an_unknown_component_without_snapshots():
+    p = params()
+    empty = Trajectory(grid=build_grid(p), params=p, states=[])
+    assert composition_defect(empty, empty, component="b") == 0.0
+    with pytest.raises(ValueError, match="unknown component 'bogus', pick 'rho' or 'b'"):
+        composition_defect(empty, empty, component="bogus")
 
 
 def test_composition_defect_grid_mismatch():

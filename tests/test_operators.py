@@ -14,10 +14,10 @@ from mhd2d.operators import (
     face_average_x,
     face_average_y,
     gradient_cc_to_face,
-    laplacian_neumann,
     momentum_advection,
     upwind_scalar_flux_div,
 )
+from scalar_oracles import laplacian_neumann
 from velocity_oracles import grad_div_velocity, laplacian_velocity_noslip
 
 

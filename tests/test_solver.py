@@ -31,7 +31,7 @@ from mhd2d.errors import (
     PositivityLoss,
     ValidationError,
 )
-from mhd2d.operators import face_average_x, face_average_y, laplacian_neumann
+from mhd2d.operators import face_average_x, face_average_y
 from mhd2d.solver import (
     Sources,
     _cg,
@@ -48,6 +48,7 @@ from mhd2d.solver import (
     step,
 )
 from mhd2d.storage import read_timeseries_csv
+from scalar_oracles import laplacian_neumann
 from velocity_oracles import grad_div_velocity, laplacian_velocity_noslip
 
 
@@ -693,9 +694,9 @@ def test_run_record_times_are_hit_exactly():
 
 
 def test_run_records_equal_record_state_on_stored_states(monkeypatch):
-    # run() computes the energy of each state once and hands it to the
-    # state's record and to the energy metadata; every record equals
-    # record_state evaluated afresh
+    # run() computes the energy of each state once, inside the state's
+    # record when it has one; every record equals record_state evaluated
+    # afresh
     cfg = replace(small_config(t_final=0.02), record_interval=1, snapshot_interval=1)
     calls = []
     energy = diagnostics.total_energy
@@ -707,6 +708,25 @@ def test_run_records_equal_record_state_on_stored_states(monkeypatch):
     assert len(series.records) == len(traj.states) == steps + 1
     for rec, st in zip(series.records, traj.states):
         assert rec == record_state(st, cfg.params, traj.grid)
+
+
+def test_run_measures_unrecorded_states_once_and_keeps_the_last(monkeypatch):
+    # states off the record schedule take their energy from total_energy,
+    # still once each; the last state is recorded and stored although
+    # neither interval divides the step count
+    cfg = replace(small_config(t_final=0.05), record_interval=4, snapshot_interval=5)
+    calls = []
+    energy = diagnostics.total_energy
+    monkeypatch.setattr(diagnostics, "total_energy", lambda *a: calls.append(a[0]) or energy(*a))
+    traj, series = run(cfg)
+    monkeypatch.undo()
+    steps = series.metadata["steps"]
+    assert steps % 4 and steps % 5
+    assert len(calls) == steps + 1
+    assert all(a.t < b.t for a, b in zip(calls, calls[1:]))
+    assert [r.t for r in series.records] == [s.t for s in calls[::4]] + [calls[-1].t]
+    assert traj.times == [s.t for s in calls[::5]] + [calls[-1].t]
+    assert series.records[-1].t == traj.states[-1].t == cfg.params.t_final
 
 
 def test_run_measures_ratio_bounds_once_per_record(monkeypatch):
