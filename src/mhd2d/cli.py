@@ -140,19 +140,17 @@ def _cmd_mms(config: Config, args, outdir: str) -> int:
     resolutions = tuple(int(s) for s in args.resolutions.split(","))
     ms = default_manufactured_solution(config.params.Lx, config.params.Ly)
     rep = run_mms(config, ms, resolutions=resolutions, dt_max_coeff=args.dt_max_coeff)
+    _report(rep, outdir, f"{config.run_id}_mms.csv")
+    return 0
+
+
+def _report(rep, outdir: str, filename: str) -> None:
+    """Print an MMS or sweep report, write its CSV to outdir/filename, say where."""
     print(rep.summary_text())
     os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, f"{config.run_id}_mms.csv")
-    with open(path, "w") as fh:
-        fh.write("n,h," + ",".join(f"l2_{k}" for k in rep.l2_errors) + "\n")
-        for i, (n, h) in enumerate(zip(rep.resolutions, rep.hs)):
-            fh.write(
-                f"{n},{h:.17g},"
-                + ",".join(format(rep.l2_errors[k][i], ".17g") for k in rep.l2_errors)
-                + "\n"
-            )
+    path = os.path.join(outdir, filename)
+    rep.to_csv(path)
     print(f"wrote {path}")
-    return 0
 
 
 def _parse_list(raw: str):
@@ -166,11 +164,7 @@ def _cmd_sweep(config: Config, args, outdir: str, which: str) -> int:
     else:
         values = _parse_list(args.delta_list) if args.delta_list else [1e-1 * 4.0 ** -k for k in range(5)]
         rep = delta_sweep(config, values)
-    print(rep.summary_text())
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, f"{config.run_id}_sweep_{which}.csv")
-    rep.to_csv(path)
-    print(f"wrote {path}")
+    _report(rep, outdir, f"{config.run_id}_sweep_{which}.csv")
     failed = [row for row in rep.rows if not row.get("ok", True)]
     if failed:
         print(f"{len(failed)} member(s) failed", file=sys.stderr)

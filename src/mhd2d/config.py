@@ -107,8 +107,6 @@ def parse_config(text: str) -> Config:
                 ovals["run_id"] = raw
             else:
                 raise ParseError(f"line {lineno}: unknown key {key!r}")
-        except ParseError:
-            raise
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 

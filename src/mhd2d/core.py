@@ -9,7 +9,8 @@ parameters are enforced here, once, so downstream code can assume them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,6 +73,15 @@ class SimulationParams:
     freeze_velocity: bool = False
 
 
+def _require_finite(spec) -> None:
+    """ValidationError naming the first NaN or infinite float field of the
+    dataclass `spec`: a NaN fails no `x < 0` test, and most bounds admit inf."""
+    for f in fields(spec):
+        v = getattr(spec, f.name)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValidationError(f"{f.name} must be finite, got {v}")
+
+
 def validate_params(raw: SimulationParams) -> SimulationParams:
     """Check every admissibility inequality; return params unchanged.
 
@@ -79,6 +89,7 @@ def validate_params(raw: SimulationParams) -> SimulationParams:
     inequality.
     """
     p = raw
+    _require_finite(p)
     if not p.mu > 0.0:
         raise ViscosityInadmissible(f"mu must be > 0, got mu={p.mu}")
     if not p.lam + 2.0 * p.mu > 0.0:
@@ -159,12 +170,6 @@ class Grid:
 
     def center_mesh(self):
         return np.meshgrid(self.xc, self.yc, indexing="ij")
-
-    def xface_mesh(self):
-        return np.meshgrid(self.xf, self.yc, indexing="ij")
-
-    def yface_mesh(self):
-        return np.meshgrid(self.xc, self.yf, indexing="ij")
 
     def zeros_xface(self) -> np.ndarray:
         return np.zeros((self.nx + 1, self.ny))
@@ -287,20 +292,20 @@ class RatioEnvelope:
             )
 
 
-def _cos_profile(grid: Grid, base: float, amp: float, kx: int, ky: int) -> np.ndarray:
-    X, Y = grid.center_mesh()
-    prof = base * (1.0 + amp * np.cos(kx * np.pi * X / grid.Lx) * np.cos(ky * np.pi * Y / grid.Ly))
-    return prof
+def _cos_mode(grid: Grid, amp: float, kx: int, ky: int) -> np.ndarray:
+    """amp*cos(kx pi x/Lx)*cos(ky pi y/Ly) at the cell centers, sampled like
+    every closed form here: on an x column by a y row, broadcast to (nx, ny)."""
+    x, y = grid.xc[:, None], grid.yc[None, :]
+    return amp * np.cos(kx * np.pi * x / grid.Lx) * np.cos(ky * np.pi * y / grid.Ly)
 
 
 def _initial_velocity(grid: Grid, amp: float):
     ux = grid.zeros_xface()
     uy = grid.zeros_yface()
     if amp != 0.0:
-        XF, YC = grid.xface_mesh()
-        XC, YF = grid.yface_mesh()
-        ux = amp * np.sin(np.pi * XF / grid.Lx) * np.sin(np.pi * YC / grid.Ly)
-        uy = -amp * np.sin(np.pi * XC / grid.Lx) * np.sin(np.pi * YF / grid.Ly)
+        xc, yc, xf, yf = grid.xc[:, None], grid.yc[None, :], grid.xf[:, None], grid.yf[None, :]
+        ux = amp * np.sin(np.pi * xf / grid.Lx) * np.sin(np.pi * yc / grid.Ly)
+        uy = -amp * np.sin(np.pi * xc / grid.Lx) * np.sin(np.pi * yf / grid.Ly)
         # sampled sin() is only zero to round-off at the far wall
         pin_noslip(ux, uy)
     return ux, uy
@@ -309,11 +314,13 @@ def _initial_velocity(grid: Grid, amp: float):
 def init_state(grid: Grid, spec: InitialDataSpec) -> tuple[State, RatioEnvelope]:
     """Generate initial fields and the discrete ratio envelope.
 
-    Rejects any spec whose fields leave (0, m, M] admissibility with
-    BoundViolation.  The envelope is the discrete min/max of b0/rho0.
+    Rejects a non-finite float in `spec` with ValidationError and fields
+    that leave (0, m, M] with BoundViolation.  The envelope is the
+    discrete min/max of b0/rho0.
     """
     if spec.kind not in InitialDataSpec.KINDS:
         raise ValidationError(f"unknown initial-data kind {spec.kind!r}")
+    _require_finite(spec)
 
     if spec.kind == "snapshot-file":
         from .storage import read_snapshot
@@ -325,16 +332,12 @@ def init_state(grid: Grid, spec: InitialDataSpec) -> tuple[State, RatioEnvelope]
         if spec.kind == "constant":
             rho0 = np.full((grid.nx, grid.ny), float(spec.rho_base))
             b0 = np.full((grid.nx, grid.ny), float(spec.b_base))
-        elif spec.kind == "cosine-perturbation":
-            rho0 = _cos_profile(grid, spec.rho_base, spec.rho_amp, spec.kx, spec.ky)
-            b0 = _cos_profile(grid, spec.b_base, spec.b_amp, spec.kx, spec.ky)
-        else:  # ratio-profile
-            rho0 = _cos_profile(grid, spec.rho_base, spec.rho_amp, spec.kx, spec.ky)
-            X, Y = grid.center_mesh()
-            ratio = spec.ratio_mid + spec.ratio_amp * np.cos(
-                spec.jx * np.pi * X / grid.Lx
-            ) * np.cos(spec.jy * np.pi * Y / grid.Ly)
-            b0 = rho0 * ratio
+        else:
+            rho0 = spec.rho_base * (1.0 + _cos_mode(grid, spec.rho_amp, spec.kx, spec.ky))
+            if spec.kind == "cosine-perturbation":
+                b0 = spec.b_base * (1.0 + _cos_mode(grid, spec.b_amp, spec.kx, spec.ky))
+            else:  # ratio-profile
+                b0 = rho0 * (spec.ratio_mid + _cos_mode(grid, spec.ratio_amp, spec.jx, spec.jy))
         ux, uy = _initial_velocity(grid, spec.u_amp)
 
     for name, f in (("rho0", rho0), ("b0", b0)):

@@ -372,7 +372,8 @@ def _spacetime_integral(traj, test: TestFunction, integrand) -> list[float]:
     """The space-time quadrature every pairing against `test` goes through.
 
     Checks that the snapshots cover the test's time support, samples
-    (phi, dphi/dx, dphi/dy, Lap phi) once at the cell centers, and calls
+    (phi, dphi/dx, dphi/dy, Lap phi) once at the cell centers (on an x
+    column by a y row, like every closed form sampled here), and calls
     integrand(state, psi(t), psi'(t), *those four) on each snapshot; the
     integrand returns one midpoint-in-space value per component, and each
     component is integrated by the trapezoid over the snapshot times.
@@ -384,8 +385,8 @@ def _spacetime_integral(traj, test: TestFunction, integrand) -> list[float]:
             f"snapshots cover [{times[0] if times else '-'}, "
             f"{times[-1] if times else '-'}], test support is [{lo}, {hi}]"
         )
-    X, Y = traj.grid.center_mesh()
-    phis = (test.phi(X, Y), test.phi_dx(X, Y), test.phi_dy(X, Y), test.phi_lap(X, Y))
+    x, y = traj.grid.xc[:, None], traj.grid.yc[None, :]  # each product broadcasts to (nx, ny)
+    phis = (test.phi(x, y), test.phi_dx(x, y), test.phi_dy(x, y), test.phi_lap(x, y))
     vals = [integrand(st, test.psi(st.t), test.psi_d1(st.t), *phis) for st in traj.states]
     return [float(np.trapezoid(comp, times)) for comp in zip(*vals)]
 

@@ -63,7 +63,6 @@ from .operators import (
 )
 
 __all__ = [
-    "pressure_total",
     "stable_dt",
     "implicit_diffusion_solve",
     "step",

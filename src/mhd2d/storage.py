@@ -1,4 +1,4 @@
-"""Bit-exact file formats: binary field snapshots and the CSV time series.
+"""Bit-exact file formats: binary field snapshots and CSV tables.
 
 Snapshot layout (all little-endian):
     magic "MHD2" | version u32 | nx u64 | ny u64 | time f64 | nfields u32
@@ -15,9 +15,10 @@ means the file is corrupt.
 
 from __future__ import annotations
 
+import numbers
 import os
 import struct
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "read_snapshot",
     "write_timeseries_csv",
     "read_timeseries_csv",
+    "write_table",
     "snapshot_header",
 ]
 
@@ -161,21 +163,30 @@ def read_snapshot(path, grid: Grid | None = None) -> State:
 
 
 # ------------------------------------------------------------------
-# CSV time series
+# CSV tables
 # ------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(v) -> str:
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        return format(float(v), ".17g")
+    return str(v)
+
+
+def write_table(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The one CSV writer (time series, sweep and MMS reports): a header
+    line, then one line per row with every number at 17 significant digits,
+    so it reads back bit-exactly, and anything else, a bool too, as str()."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
 def write_timeseries_csv(series: DiagnosticsSeries | Iterable[DiagnosticsRecord], path) -> None:
     """Header plus one row per record, 17 significant digits per value."""
-    records = series.records if isinstance(series, DiagnosticsSeries) else list(series)
+    records = series.records if isinstance(series, DiagnosticsSeries) else series
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for rec in records:
-                fh.write(",".join(_fmt(v) for v in rec.as_row()) + "\n")
+        write_table(path, CSV_COLUMNS, (rec.as_row() for rec in records))
     except OSError as exc:
         raise OSError(f"cannot write time series to {path}: {exc}") from exc
 

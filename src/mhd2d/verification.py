@@ -16,12 +16,12 @@ report what they observe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import Config
-from .core import Grid, SimulationParams, State, build_grid, init_state, pin_noslip, validate_params
+from .core import Grid, SimulationParams, State, build_grid, init_state, pin_noslip
 from .diagnostics import (
     TestFunction,
     _grad_sq,
@@ -35,6 +35,7 @@ from .eos import pressure_total
 from .errors import DegenerateInput, Mhd2dError, ValidationError
 from .operators import gradient_cc_to_face
 from .solver import Sources, Trajectory, run
+from .storage import write_table
 
 __all__ = [
     "ManufacturedSolution",
@@ -226,6 +227,11 @@ class MmsReport:
             lines.append(f"  order[{k}] = {o:.3f} (pairwise {pairs})")
         return "\n".join(lines)
 
+    def to_csv(self, path) -> None:
+        """n, h and the L2 error of each field, one row per resolution."""
+        rows = zip(self.resolutions, self.hs, *self.l2_errors.values())
+        write_table(path, ["n", "h", *(f"l2_{k}" for k in self.l2_errors)], rows)
+
 
 def run_mms(
     config: Config,
@@ -249,18 +255,14 @@ def run_mms(
     l2 = {"rho": [], "b": [], "u": []}
     linf = {"rho": [], "b": [], "u": []}
     hs = []
-    for n in resolutions:
-        params = replace(config.params, nx=int(n), ny=int(n))
-        h = min(params.Lx / params.nx, params.Ly / params.ny)
-        if dt_max_coeff is not None:
-            params = replace(params, dt_max=dt_max_coeff * h * h)
-        params = validate_params(params)
-        grid = build_grid(params)
-        state0 = ms.sample(grid, 0.0)
-        cfg = replace(config, params=params)
-        traj, _series = run(cfg, initial_state=state0, sources=src)
+    for n in map(int, resolutions):
+        h = min(config.params.Lx / n, config.params.Ly / n)
+        cap = {} if dt_max_coeff is None else {"dt_max": dt_max_coeff * h * h}
+        cfg = config.with_params(nx=n, ny=n, **cap)
+        grid = build_grid(cfg.params)
+        traj, _series = run(cfg, initial_state=ms.sample(grid, 0.0), sources=src)
         terminal = traj.states[-1]
-        exact = ms.sample(grid, params.t_final)
+        exact = ms.sample(grid, cfg.params.t_final)
         e_rho = terminal.rho - exact.rho
         e_b = terminal.b - exact.b
         e_ux = terminal.ux - exact.ux
@@ -323,16 +325,7 @@ class SweepReport:
         return [row.get(name) for row in self.rows]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(
-                    ",".join(
-                        format(row[c], ".17g") if isinstance(row[c], float) else str(row[c])
-                        for c in self.columns
-                    )
-                    + "\n"
-                )
+        write_table(path, self.columns, ([row[c] for c in self.columns] for row in self.rows))
 
     def summary_text(self) -> str:
         lines = [f"{self.parameter} sweep over {self.values}"]
@@ -400,16 +393,15 @@ def _sweep(config: Config, parameter: str, values, columns, n_records: int, meas
         row = {c: float("nan") for c in columns}
         row.update({parameter: v, "ok": True, "error": ""})
         try:
-            params = validate_params(replace(config.params, **{parameter: v}))
-            traj, series = run(replace(config, params=params), initial_state=state0.copy(),
-                               record_times=record_times)
+            member = config.with_params(**{parameter: v})
+            traj, series = run(member, initial_state=state0.copy(), record_times=record_times)
             row["sup_energy"] = float(series.column("energy").max())
             row["ratio_drift"] = max(
                 0.0,
                 env.c_star - float(series.column("ratio_min").min()),
                 float(series.column("ratio_max").max()) - env.c_upper,
             )
-            measure(row, params, traj, series, test)
+            measure(row, member.params, traj, series, test)
             results.append((row, traj))
         except Mhd2dError as exc:
             row["ok"] = False

@@ -90,6 +90,19 @@ def test_invalid_config_exit_2(tmp_path, capsys):
     assert "Gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["eps = nan", "delta = nan", "t_final = nan", "t_final = inf",
+                                  "eps = inf", "init_u_amp = nan", "init_m = nan"])
+def test_non_finite_value_is_a_config_error(tmp_path, capsys, line):
+    key = line.split()[0]
+    path = tmp_path / "nonfinite.cfg"
+    kept = [l for l in CONSTANT.splitlines() if not l.startswith(key + " ")]
+    path.write_text("\n".join(kept + [line]) + "\n")
+    assert cli_main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {key.removeprefix('init_')} must be finite")
+
+
 def test_unknown_key_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("nx = 12\nny = 12\nt_final = 1\nbogus = 1\n")

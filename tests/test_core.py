@@ -1,5 +1,7 @@
 """Parameter admissibility, grid construction, and initial-data bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,36 @@ def test_rejects_gamma_below_one():
 def test_rejects_out_of_range_controls(kw):
     with pytest.raises(ValidationError):
         validate_params(SimulationParams(**kw))
+
+
+SIM_FLOAT_FIELDS = ("a", "gamma", "mu", "lam", "eps", "delta", "Gamma", "Lx", "Ly", "cfl",
+                    "t_final", "dt_max")
+INIT_FLOAT_FIELDS = ("rho_base", "b_base", "rho_amp", "b_amp", "ratio_mid", "ratio_amp",
+                     "u_amp", "m", "M")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", SIM_FLOAT_FIELDS)
+def test_rejects_non_finite_parameter(name, value):
+    # a NaN passes every `x < 0` test as false, and an infinity most bounds
+    with pytest.raises(ValidationError, match=rf"^{name} must be finite, got {value}$"):
+        validate_params(SimulationParams(**{name: value}))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", INIT_FLOAT_FIELDS)
+@pytest.mark.parametrize("kind", ["constant", "ratio-profile"])
+def test_rejects_non_finite_initial_data_field(kind, name, value):
+    # a NaN m or M would make the bound check vacuous, a NaN u_amp would
+    # only show up as a DegenerateState during the run
+    with pytest.raises(ValidationError, match=rf"^{name} must be finite, got {value}$"):
+        init_state(grid16(), InitialDataSpec(kind=kind, **{name: value}))
+
+
+def test_float_field_lists_cover_the_dataclasses():
+    for cls, names in ((SimulationParams, SIM_FLOAT_FIELDS), (InitialDataSpec, INIT_FLOAT_FIELDS)):
+        floats = [f.name for f in dataclasses.fields(cls) if f.type in ("float", "float | None")]
+        assert tuple(floats) == names
 
 
 def test_zero_t_final_allowed_for_diagnostics_only_runs():

@@ -118,7 +118,7 @@ def test_dissipation_linear_shear_hand_quadrature():
     p = params(mu=0.37, lam=0.21, eps=0.0, nx=12, ny=10, Lx=1.2, Ly=0.9)
     g = build_grid(p)
     shear = 0.83
-    _, YC = g.xface_mesh()
+    _, YC = np.meshgrid(g.xf, g.yc, indexing="ij")
     ux = shear * YC
     st = State(rho=np.ones((g.nx, g.ny)), b=np.ones((g.nx, g.ny)), ux=ux,
                uy=np.zeros((g.nx, g.ny + 1)), t=0.0)

@@ -151,7 +151,7 @@ def test_velocity_laplacian_zero_on_zero():
 
 def test_velocity_laplacian_dirichlet_eigenmode():
     g = make_grid(nx=20, ny=14, Lx=1.0, Ly=0.7)
-    XF, YC = g.xface_mesh()
+    XF, YC = np.meshgrid(g.xf, g.yc, indexing="ij")
     ux = np.sin(np.pi * XF / g.Lx) * np.sin(np.pi * YC / g.Ly)
     ux[0, :] = ux[-1, :] = 0.0
     uy = np.zeros((g.nx, g.ny + 1))

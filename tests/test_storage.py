@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mhd2d.config import Config
 from mhd2d.core import InitialDataSpec, SimulationParams, build_grid, init_state, validate_params
 from mhd2d.diagnostics import CSV_COLUMNS, DiagnosticsRecord, DiagnosticsSeries
 from mhd2d.errors import FormatError, ParseError
@@ -18,6 +19,7 @@ from mhd2d.storage import (
     write_snapshot,
     write_timeseries_csv,
 )
+from mhd2d.verification import MmsReport, epsilon_sweep
 
 
 def sample_state(nx=10, ny=7):
@@ -274,3 +276,72 @@ def test_csv_non_utf8_byte_names_path_and_line(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ParseError, match=r"bad3\.csv:3: byte 0xff is not utf-8"):
         read_timeseries_csv(path)
+
+
+# ------------------------------------------------------------------
+# the one table writer against the three writers it replaced
+# ------------------------------------------------------------------
+
+def _reference_timeseries_csv(records, path):
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for rec in records:
+            fh.write(",".join(format(float(v), ".17g") for v in rec.as_row()) + "\n")
+
+
+def _reference_sweep_csv(rep, path):
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(rep.columns) + "\n")
+        for row in rep.rows:
+            fh.write(
+                ",".join(
+                    format(row[c], ".17g") if isinstance(row[c], float) else str(row[c])
+                    for c in rep.columns
+                )
+                + "\n"
+            )
+
+
+def _reference_mms_csv(rep, path):
+    with open(path, "w") as fh:
+        fh.write("n,h," + ",".join(f"l2_{k}" for k in rep.l2_errors) + "\n")
+        for i, (n, h) in enumerate(zip(rep.resolutions, rep.hs)):
+            fh.write(
+                f"{n},{h:.17g},"
+                + ",".join(format(rep.l2_errors[k][i], ".17g") for k in rep.l2_errors)
+                + "\n"
+            )
+
+
+def test_timeseries_csv_bytes_equal_reference_writer(tmp_path):
+    records = [awkward_record(k) for k in (0, 1.0, 2, 7.5)]  # int and float k
+    write_timeseries_csv(records, tmp_path / "got.csv")
+    _reference_timeseries_csv(records, tmp_path / "ref.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_sweep_csv_with_a_failing_member_bytes_equal_reference_writer(tmp_path):
+    p = validate_params(SimulationParams(nx=12, ny=12, t_final=0.05, eps=1e-2, delta=1e-2))
+    spec = InitialDataSpec(kind="ratio-profile", rho_amp=0.1, kx=1, ky=1,
+                           ratio_mid=1.0, ratio_amp=0.25, jx=1, jy=0, u_amp=0.2)
+    rep = epsilon_sweep(Config(params=p, init=spec), [1e-2, 5e-3, -1.0], n_records=5)
+    failed = rep.rows[-1]
+    assert failed["ok"] is False and failed["error"] and np.isnan(failed["dist_rho"])
+    rep.to_csv(tmp_path / "got.csv")
+    _reference_sweep_csv(rep, tmp_path / "ref.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    assert b",False,ValidationError: eps must be >= 0" in got and b",nan," in got
+
+
+def test_mms_csv_bytes_equal_reference_writer(tmp_path):
+    rep = MmsReport(
+        resolutions=[8, 16, 32],
+        hs=[0.125, 1.0 / 16.0, 1.0 / 32.0],
+        l2_errors={"rho": [1.0 / 3.0, 1e-17, np.pi], "b": [2.0 / 7.0, 0.0, 6.02214076e23],
+                   "u": [np.float64(0.1), 1.2345678901234567e-5, float("nan")]},
+        linf_errors={}, orders={}, pair_orders={},
+    )
+    rep.to_csv(tmp_path / "got.csv")
+    _reference_mms_csv(rep, tmp_path / "ref.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from mhd2d import verification
+from mhd2d import diagnostics, verification
 from mhd2d.config import Config
-from mhd2d.core import InitialDataSpec, SimulationParams, build_grid, validate_params
+from mhd2d.core import InitialDataSpec, SimulationParams, build_grid, init_state, validate_params
+from mhd2d.diagnostics import TestFunction, evf_pairing, renormalized_residual, weak_residual
 from mhd2d.errors import DegenerateInput, ValidationError
 from mhd2d.solver import run
 from mhd2d.verification import (
@@ -89,7 +90,7 @@ def test_momentum_source_delta_term_finite_difference():
 
     rho_f = sp.lambdify((X, Y, T), ms.exprs["rho"], "numpy")
     b_f = sp.lambdify((X, Y, T), ms.exprs["b"], "numpy")
-    XF, YF = g.xface_mesh()
+    XF, YF = np.meshgrid(g.xf, g.yc, indexing="ij")
     h = 1e-5
 
     def art_pressure(xx):
@@ -132,7 +133,8 @@ def _simplified_reference_sources(ms, p):
 
     def evaluate(grid, t):
         meshes = {"rho": grid.center_mesh(), "b": grid.center_mesh(),
-                  "ux": grid.xface_mesh(), "uy": grid.yface_mesh()}
+                  "ux": np.meshgrid(grid.xf, grid.yc, indexing="ij"),
+                  "uy": np.meshgrid(grid.xc, grid.yf, indexing="ij")}
         out = {k: np.array(np.broadcast_to(fns[k](Xm, Ym, t), Xm.shape), dtype=float)
                for k, (Xm, Ym) in meshes.items()}
         out["ux"][0, :] = out["ux"][-1, :] = 0.0
@@ -180,6 +182,97 @@ def test_broadcast_evaluation_bit_equals_meshgrid_on_nonsquare_grid(monkeypatch)
             ref = [*src(g, t), *src_const(g, t), *vars(ms.sample(g, t)).values()]
         for a, b in zip(got, ref):
             assert np.shape(a) == np.shape(b) and np.array_equal(a, b), t
+
+
+def _meshgrid_init_fields(grid, spec):
+    """Reference for init_state's analytic kinds: the closed forms on full
+    meshgrids, in the same operation order."""
+    X, Y = grid.center_mesh()
+
+    def cos_profile(base, amp, kx, ky):
+        return base * (1.0 + amp * np.cos(kx * np.pi * X / grid.Lx) * np.cos(ky * np.pi * Y / grid.Ly))
+
+    if spec.kind == "constant":
+        rho = np.full((grid.nx, grid.ny), float(spec.rho_base))
+        b = np.full((grid.nx, grid.ny), float(spec.b_base))
+    elif spec.kind == "cosine-perturbation":
+        rho = cos_profile(spec.rho_base, spec.rho_amp, spec.kx, spec.ky)
+        b = cos_profile(spec.b_base, spec.b_amp, spec.kx, spec.ky)
+    else:
+        rho = cos_profile(spec.rho_base, spec.rho_amp, spec.kx, spec.ky)
+        ratio = spec.ratio_mid + spec.ratio_amp * np.cos(
+            spec.jx * np.pi * X / grid.Lx
+        ) * np.cos(spec.jy * np.pi * Y / grid.Ly)
+        b = rho * ratio
+    ux, uy = np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1))
+    if spec.u_amp != 0.0:
+        XF, YC = np.meshgrid(grid.xf, grid.yc, indexing="ij")
+        XC, YF = np.meshgrid(grid.xc, grid.yf, indexing="ij")
+        ux = spec.u_amp * np.sin(np.pi * XF / grid.Lx) * np.sin(np.pi * YC / grid.Ly)
+        uy = -spec.u_amp * np.sin(np.pi * XC / grid.Lx) * np.sin(np.pi * YF / grid.Ly)
+        ux[0, :] = ux[-1, :] = 0.0
+        uy[:, 0] = uy[:, -1] = 0.0
+    return rho, b, ux, uy
+
+
+_INIT_SPECS = [
+    InitialDataSpec(kind="constant", rho_base=1.3, b_base=0.7),
+    InitialDataSpec(kind="constant", rho_base=1.3, b_base=0.7, u_amp=0.25),
+    InitialDataSpec(kind="cosine-perturbation", rho_amp=0.2, b_amp=0.1, kx=0, ky=0),
+    InitialDataSpec(kind="cosine-perturbation", rho_base=1.1, b_base=0.9, rho_amp=0.3,
+                    b_amp=-0.2, kx=3, ky=2, u_amp=-0.4),
+    InitialDataSpec(kind="ratio-profile", rho_amp=0.1, kx=1, ky=1, ratio_mid=1.25,
+                    ratio_amp=0.5, jx=1, jy=0, u_amp=0.0),
+    InitialDataSpec(kind="ratio-profile", rho_amp=0.15, kx=2, ky=0, ratio_mid=1.1,
+                    ratio_amp=-0.3, jx=0, jy=3, u_amp=0.3),
+    InitialDataSpec(kind="ratio-profile", rho_amp=0.1, kx=0, ky=0, ratio_mid=0.8,
+                    ratio_amp=0.2, jx=0, jy=0, u_amp=-0.2),
+]
+
+
+@pytest.mark.parametrize("shape", [dict(nx=48, ny=40), dict(nx=33, ny=65, Lx=2.0, Ly=0.7)])
+@pytest.mark.parametrize("spec", _INIT_SPECS)
+def test_init_state_bit_equals_meshgrid_sampling(shape, spec):
+    # init_state samples on an x column by a y row; every field carries the
+    # same bytes as the meshgrid formulas, +0.0 (not -0.0) where u_amp = 0
+    g = build_grid(params(**shape))
+    st, _ = init_state(g, spec)
+    for got, ref in zip((st.rho, st.b, st.ux, st.uy), _meshgrid_init_fields(g, spec)):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    if spec.u_amp == 0.0:
+        assert not np.signbit(st.ux).any() and not np.signbit(st.uy).any()
+
+
+def _meshgrid_spacetime_integral(traj, test, integrand):
+    """Reference for diagnostics._spacetime_integral: the test function
+    sampled on full meshgrids."""
+    X, Y = traj.grid.center_mesh()
+    phis = (test.phi(X, Y), test.phi_dx(X, Y), test.phi_dy(X, Y), test.phi_lap(X, Y))
+    vals = [integrand(st, test.psi(st.t), test.psi_d1(st.t), *phis) for st in traj.states]
+    return [float(np.trapezoid(comp, traj.times)) for comp in zip(*vals)]
+
+
+def test_pairings_equal_meshgrid_sampling_of_the_test_function(monkeypatch):
+    p = params(nx=33, ny=65, Lx=2.0, Ly=0.7, eps=1e-2, delta=1e-2, lam=0.1, t_final=0.05)
+    spec = InitialDataSpec(kind="ratio-profile", rho_amp=0.1, kx=1, ky=1, ratio_mid=1.25,
+                           ratio_amp=0.5, jx=1, jy=1, u_amp=0.3)
+    traj, _ = run(Config(params=p, init=spec, snapshot_interval=2))
+    test = TestFunction.centered_in(traj.grid, p.t_final)
+    pairings = [
+        lambda: weak_residual(traj, test, "mass"),
+        lambda: weak_residual(traj, test, "magnetic"),
+        lambda: weak_residual(traj, test, "momentum"),
+        lambda: renormalized_residual(traj, test, "tk", k=1.1),
+        lambda: renormalized_residual(traj, test, "tk", k=1.1, which="b"),
+        lambda: renormalized_residual(traj, test, "identity"),
+        lambda: evf_pairing(traj, test, weight="sum"),
+        lambda: evf_pairing(traj, test, weight="tk", k=1.1),
+    ]
+    got = [f() for f in pairings]
+    monkeypatch.setattr(diagnostics, "_spacetime_integral", _meshgrid_spacetime_integral)
+    ref = [f() for f in pairings]
+    assert len(traj.states) > 3 and all(np.isfinite(got))
+    assert got == ref
 
 
 def _rational_manufactured_solution():
