@@ -5,14 +5,16 @@ Exit codes: 0 success, 1 invariant failure (or a run that aborted on a
 violated invariant), 2 usage/config errors.
 
 MHD2D_OUTPUT_DIR overrides the config's output_dir; --output-dir
-overrides both.  --cfl replaces the Courant number *after* validation
-(deliberately unchecked, so `verify --cfl 5.0` can demonstrate how the
-invariant suite catches an unstable run).
+overrides both.  --cfl replaces the Courant number *after* validation:
+it must be finite and positive, but values above 1 are deliberately
+unchecked, so `verify --cfl 5.0` can demonstrate how the invariant suite
+catches an unstable run.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -25,6 +27,7 @@ from .errors import FormatError, Mhd2dError, ParseError, ValidationError
 from .solver import run
 from .storage import read_snapshot, snapshot_header
 from .verification import (
+    _field_distances,
     default_manufactured_solution,
     delta_sweep,
     epsilon_sweep,
@@ -49,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to a key = value config file")
         p.add_argument("--output-dir", default=None)
         p.add_argument("--cfl", type=float, default=None,
-                       help="unchecked post-validation override of the Courant number")
+                       help="post-validation override of the Courant number (> 0, may exceed 1)")
 
     p_run = sub.add_parser("run", help="integrate a config and write outputs")
     add_common(p_run)
@@ -88,6 +91,8 @@ def _resolve_output_dir(config: Config, cli_value) -> str:
 def _load(args) -> Config:
     config = parse_config_file(args.config)
     if getattr(args, "cfl", None) is not None:
+        if not 0.0 < args.cfl < math.inf:
+            raise ValidationError(f"--cfl must be finite and positive, got {args.cfl}")
         config = replace(config, params=replace(config.params, cfl=args.cfl))
     return config
 
@@ -230,14 +235,8 @@ def _cmd_verify(config: Config) -> int:
         )
 
         if config.init.kind == "constant" and config.init.u_amp == 0.0:
-            last = traj.states[-1]
-            first = traj.states[0]
-            dev = max(
-                float(np.abs(last.rho - first.rho).max()),
-                float(np.abs(last.b - first.b).max()),
-                float(np.abs(last.ux).max()),
-                float(np.abs(last.uy).max()),
-            )
+            _, linf = _field_distances(traj.states[-1], traj.states[0], traj.grid.cell_area)
+            dev = max(linf)
             checks.append(
                 ("constant-fixed-point", dev <= FIXED_POINT_TOL,
                  f"max field deviation {dev:.3e} vs tol {FIXED_POINT_TOL}")

@@ -2,13 +2,14 @@
 
 Minimal document: `nx`, `ny` and `t_final`.  Everything else has a
 documented default (see DEFAULTS/README).  Unknown and duplicate keys
-are rejected with line context; physical admissibility is delegated to
-validate_params, so no partially valid Config ever escapes.
+are rejected with line context; every other rule is checked by the type
+that holds the value (validate_params, InitialDataSpec, Config).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import numbers
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .core import InitialDataSpec, SimulationParams, validate_params
 from .errors import ParseError, ValidationError
@@ -27,6 +28,15 @@ class Config:
     output_dir: str = "out"
     run_id: str = "run"
 
+    def __post_init__(self):
+        for name in ("record_interval", "snapshot_interval"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Integral) and v >= 1):
+                raise ValidationError(f"{name} must be an integer >= 1, got {v!r}")
+        # run_id names a directory inside output_dir
+        if self.run_id in ("", ".", "..") or any(c in self.run_id for c in "/\\:*?\"<>| \t"):
+            raise ValidationError(f"run_id {self.run_id!r} is not filesystem-safe")
+
     def with_params(self, **kw) -> "Config":
         return replace(self, params=validate_params(replace(self.params, **kw)))
 
@@ -41,11 +51,13 @@ def _parse_bool(raw: str, key: str, lineno: int) -> bool:
 
 
 def _key_table(cls, prefix: str = "") -> dict:
-    """key -> (attribute, converter) per field of `cls`: the key is `prefix`
-    plus the name (`lam` spelled `lambda`), the converter the default's
-    type (float for a None default, _parse_bool for a bool)."""
+    """key -> (attribute, converter) per field of `cls` with a default: the
+    key is `prefix` plus the name (`lam` spelled `lambda`), the converter
+    the default's type (float for None, _parse_bool for a bool)."""
     table = {}
     for f in fields(cls):
+        if f.default is MISSING:
+            continue
         if isinstance(f.default, bool):
             conv = _parse_bool
         else:
@@ -56,6 +68,7 @@ def _key_table(cls, prefix: str = "") -> dict:
 
 _PARAM_KEYS = _key_table(SimulationParams)
 _INIT_KEYS = _key_table(InitialDataSpec, "init_")
+_RUN_KEYS = _key_table(Config)
 
 
 def parse_config(text: str) -> Config:
@@ -94,17 +107,9 @@ def parse_config(text: str) -> Config:
                 if raw not in MODES:
                     raise ParseError(f"line {lineno}: unknown mode {raw!r}, pick from {MODES}")
                 mode = raw
-            elif key in ("record_interval", "snapshot_interval"):
-                v = int(raw)
-                if v < 1:
-                    raise ParseError(f"line {lineno}: {key} must be >= 1, got {v}")
-                ovals[key] = v
-            elif key == "output_dir":
-                ovals["output_dir"] = raw
-            elif key == "run_id":
-                if not raw or any(c in raw for c in "/\\:*?\"<>| \t"):
-                    raise ParseError(f"line {lineno}: run_id {raw!r} is not filesystem-safe")
-                ovals["run_id"] = raw
+            elif key in _RUN_KEYS:
+                attr, conv = _RUN_KEYS[key]
+                ovals[attr] = conv(raw)
             else:
                 raise ParseError(f"line {lineno}: unknown key {key!r}")
         except ValueError as exc:
@@ -125,9 +130,10 @@ def parse_config(text: str) -> Config:
 
     params = validate_params(SimulationParams(**pvals))
     init = InitialDataSpec(**ivals)
-    if init.kind not in InitialDataSpec.KINDS:
-        raise ValidationError(f"unknown init_kind {init.kind!r}")
-    return Config(params=params, init=init, **ovals)
+    try:
+        return Config(params=params, init=init, **ovals)
+    except ValidationError as exc:  # a bad run field: the message names the key
+        raise ParseError(str(exc)) from exc
 
 
 def parse_config_file(path) -> Config:

@@ -113,8 +113,7 @@ def validate_params(raw: SimulationParams) -> SimulationParams:
         )
     if not (p.Lx > 0.0 and p.Ly > 0.0):
         raise ValidationError(f"domain sides must be positive, got Lx={p.Lx}, Ly={p.Ly}")
-    if p.nx < 4 or p.ny < 4:
-        raise ValidationError(f"need at least 4 cells per direction, got nx={p.nx}, ny={p.ny}")
+    build_grid(p)  # owns the cell-count rule
     if not 0.0 < p.cfl <= 1.0:
         raise ValidationError(f"cfl must lie in (0, 1], got {p.cfl}")
     if p.t_final < 0.0:
@@ -256,6 +255,9 @@ class InitialDataSpec:
     sin*sin envelope) can be requested for any analytic kind.
 
     m, M bound the generated scalars: 0 < m <= rho0, b0 <= M.
+
+    An unknown kind or a NaN or infinite float raises ValidationError
+    when the spec is built.
     """
 
     kind: str = "constant"
@@ -275,6 +277,11 @@ class InitialDataSpec:
     path: str = ""
 
     KINDS = ("constant", "cosine-perturbation", "ratio-profile", "snapshot-file")
+
+    def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ValidationError(f"unknown initial-data kind {self.kind!r}")
+        _require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -314,14 +321,9 @@ def _initial_velocity(grid: Grid, amp: float):
 def init_state(grid: Grid, spec: InitialDataSpec) -> tuple[State, RatioEnvelope]:
     """Generate initial fields and the discrete ratio envelope.
 
-    Rejects a non-finite float in `spec` with ValidationError and fields
-    that leave (0, m, M] with BoundViolation.  The envelope is the
-    discrete min/max of b0/rho0.
+    Rejects fields that leave (0, m, M] with BoundViolation.  The envelope
+    is the discrete min/max of b0/rho0.
     """
-    if spec.kind not in InitialDataSpec.KINDS:
-        raise ValidationError(f"unknown initial-data kind {spec.kind!r}")
-    _require_finite(spec)
-
     if spec.kind == "snapshot-file":
         from .storage import read_snapshot
 

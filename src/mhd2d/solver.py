@@ -50,7 +50,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Grid, SimulationParams, State, build_grid, check_state, init_state, pin_noslip
+from .core import Grid, SimulationParams, State, _require_finite, build_grid, check_state
+from .core import init_state, pin_noslip
 from .eos import pressure_total, sound_speed_sq
 from .errors import DegenerateState, LinearSolveDivergence, PositivityLoss, ValidationError
 from .operators import (
@@ -122,9 +123,11 @@ def stable_dt(state: State, params: SimulationParams, grid: Grid) -> float:
     viscosity are implicit, so they impose no h^2 restriction; dt_max,
     when set, caps the result.  Raises DegenerateState, naming the
     offending fields, if the result is not finite (a NaN or inf in the
-    state would otherwise slip past every later dt check), and also if,
-    before the dt_max cap, it falls below the time resolution at state.t:
-    such steps would never bring a run to t_final.  (The floor follows the
+    state would otherwise slip past every later dt check), or, when every
+    field is finite, ValidationError naming a non-finite parameter such
+    as an unchecked cfl; and DegenerateState also if, before the dt_max
+    cap, it falls below the time resolution at state.t: such steps would
+    never bring a run to t_final.  (The floor follows the
     current time, not t_final, because a huge t_final with a step budget
     is how an open-ended run is asked for.)
     """
@@ -141,6 +144,8 @@ def stable_dt(state: State, params: SimulationParams, grid: Grid) -> float:
     dt = params.cfl / ((umax + c) / grid.hx + (vmax + c) / grid.hy)
     if not np.isfinite(dt):
         bad = [f for f in ("rho", "b", "ux", "uy") if not np.isfinite(getattr(state, f)).all()]
+        if not bad:
+            _require_finite(params)
         raise DegenerateState(
             f"stable_dt is not finite (dt={dt}); non-finite values in {', '.join(bad)}"
         )
@@ -247,13 +252,7 @@ def _cg(name, matvec, b, x, tol, max_iter, jacobi=None):
 # Implicit scalar diffusion
 # ------------------------------------------------------------------
 
-def implicit_diffusion_solve(
-    grid: Grid,
-    q: np.ndarray,
-    coef: float,
-    dt: float,
-    max_iter: int | None = None,
-) -> np.ndarray:
+def implicit_diffusion_solve(grid: Grid, q: np.ndarray, coef: float, dt: float) -> np.ndarray:
     """Solve (I - coef*dt*Lap) q' = q by conjugate gradients, Neumann walls.
 
     The relative residual is driven below 1e-12.  The cell sum of q' is
@@ -263,7 +262,7 @@ def implicit_diffusion_solve(
     LinearSolveDivergence after 10*(nx+ny) iterations, on a non-finite q
     or residual, and on CG breakdown.
     """
-    x, _ = _diffusion_solve_counted(grid, q, coef, dt, max_iter)
+    x, _ = _diffusion_solve_counted(grid, q, coef, dt)
     return x
 
 
@@ -287,14 +286,12 @@ def _diffusion_matvec(grid, diag, cx, cy, v, out, s):
     out.reshape(grid.nx, L)[:, -1] = 0.0
 
 
-def _diffusion_solve_counted(grid, q, coef, dt, max_iter=None):
+def _diffusion_solve_counted(grid, q, coef, dt):
     c = coef * dt
     if not (math.isfinite(c) and c >= 0.0):
         raise ValidationError(f"diffusion solve needs a finite coef*dt >= 0, got {c}")
     if c == 0.0:
         return q.copy(), 0
-    if max_iter is None:
-        max_iter = 10 * (grid.nx + grid.ny)
 
     nx, ny = grid.nx, grid.ny
     cx, cy = c / grid.hx ** 2, c / grid.hy ** 2
@@ -313,7 +310,7 @@ def _diffusion_solve_counted(grid, q, coef, dt, max_iter=None):
     b, diag = b.ravel(), diag.ravel()
     x = b.copy()
     it = _cg("diffusion", lambda v, out, s: _diffusion_matvec(grid, diag, cx, cy, v, out, s),
-             b, x, 1e-12, max_iter)
+             b, x, 1e-12, 10 * (nx + ny))
 
     x = x.reshape(nx, ny + 1)[:, :ny].copy()
     # the matrix has unit column sums; pin the cell sum to the exact value
@@ -640,7 +637,7 @@ def run(
         for inc in incs:  # not sum(): from Python 3.12 it is compensated
             drift += inc
         series.metadata = {
-            "run_id": getattr(config, "run_id", "run"),
+            "run_id": config.run_id,
             "elastic_energy": "isothermal(rho*log rho)" if params.gamma == 1.0 else "gamma-law",
             "energy_pos_drift": drift,
             "max_step_energy_increase": max([0.0, *incs]),
@@ -659,7 +656,7 @@ def _flush_outputs(config, traj, series, output_dir):
 
     from .storage import write_snapshot, write_timeseries_csv
 
-    run_dir = os.path.join(str(output_dir), getattr(config, "run_id", "run"))
+    run_dir = os.path.join(str(output_dir), config.run_id)
     os.makedirs(run_dir, exist_ok=True)
     write_timeseries_csv(series, os.path.join(run_dir, "timeseries.csv"))
     for k, st in enumerate(traj.states):

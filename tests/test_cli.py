@@ -131,6 +131,18 @@ def test_verify_reckless_cfl_fails_exit_1(tmp_path, capsys):
     assert "FAIL positivity" in out or "FAIL maximum-principle" in out
 
 
+@pytest.mark.parametrize("cfl", ["nan", "inf", "-1", "0"])
+def test_non_finite_or_non_positive_cfl_is_a_config_error(small_cfg, tmp_path, capsys, cfl):
+    # nan and inf used to abort in stable_dt with an empty list of fields,
+    # -1 and 0 as a collapsed time step
+    out = tmp_path / "out"
+    assert cli_main(["run", small_cfg, "--output-dir", str(out), "--cfl", cfl]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: --cfl must be finite and positive, got {float(cfl)}\n"
+    assert not out.exists()
+
+
 def test_verify_initial_data_outside_bounds_exit_2(tmp_path, capsys):
     path = tmp_path / "oob.cfg"
     path.write_text(SMALL + "init_M = 1.5\n")

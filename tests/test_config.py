@@ -4,7 +4,7 @@ unknown/duplicate keys, and delegation of physics admissibility."""
 import pytest
 
 from mhd2d.config import Config, parse_config, parse_config_file
-from mhd2d.core import validate_params
+from mhd2d.core import InitialDataSpec, SimulationParams, validate_params
 from mhd2d.errors import GammaTooSmall, ParseError, ValidationError, ViscosityInadmissible
 
 MINIMAL = "nx = 64\nny = 64\nt_final = 1.0\n"
@@ -217,3 +217,33 @@ def test_freeze_velocity_boolean_spellings(raw, want):
 def test_freeze_velocity_rejects_a_non_boolean():
     with pytest.raises(ParseError, match="line 4: key 'freeze_velocity' wants a boolean, got 'maybe'"):
         parse_config(MINIMAL + "freeze_velocity = maybe\n")
+
+
+# the run fields and the initial-data rules are checked by the dataclass
+# that holds them, so a Config or spec built in code fails as a file does
+@pytest.mark.parametrize("name, value", [("record_interval", 0), ("record_interval", 2.5),
+                                         ("record_interval", -1), ("snapshot_interval", 0),
+                                         ("snapshot_interval", -1)])
+def test_config_rejects_a_bad_interval_when_built(name, value):
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer >= 1, got {value}$"):
+        Config(params=validate_params(SimulationParams()), **{name: value})
+
+
+@pytest.mark.parametrize("run_id", ["", "a/b", "../x", "..", "a b"])
+def test_config_rejects_an_unsafe_run_id_when_built(run_id):
+    with pytest.raises(ValidationError, match=r"^run_id .* is not filesystem-safe$"):
+        Config(params=validate_params(SimulationParams()), run_id=run_id)
+
+
+def test_unknown_init_kind_has_one_message_in_code_and_in_files():
+    with pytest.raises(ValidationError) as in_code:
+        InitialDataSpec(kind="bogus")
+    with pytest.raises(ValidationError) as in_file:
+        parse_config(MINIMAL + "init_kind = bogus\n")
+    assert str(in_code.value) == str(in_file.value) == "unknown initial-data kind 'bogus'"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_initial_data_spec_rejects_a_non_finite_float_when_built(value):
+    with pytest.raises(ValidationError, match=f"^u_amp must be finite, got {value}$"):
+        InitialDataSpec(kind="constant", u_amp=value)

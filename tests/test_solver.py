@@ -35,6 +35,7 @@ from mhd2d.operators import face_average_x, face_average_y
 from mhd2d.solver import (
     Sources,
     _cg,
+    _diffusion_matvec,
     _diffusion_solve_counted,
     _face_vector,
     _faces,
@@ -127,6 +128,15 @@ def test_stable_dt_nan_velocity_face_names_field(field):
         step(s, p, g)
 
 
+@pytest.mark.parametrize("cfl", [np.nan, np.inf])
+def test_stable_dt_names_a_non_finite_cfl_when_every_field_is_finite(cfl):
+    # an unvalidated cfl used to end in "non-finite values in " and an empty list
+    p = params(nx=12, ny=12)
+    g = build_grid(p)
+    with pytest.raises(ValidationError, match=f"^cfl must be finite, got {cfl}$"):
+        stable_dt(constant_state(g), replace(p, cfl=cfl), g)
+
+
 @pytest.mark.parametrize("speed", [1e100, 1e300])
 def test_collapsed_cfl_step_raises_degenerate_state(speed):
     # a huge but finite velocity shrinks the CFL step below the run's time
@@ -183,12 +193,30 @@ def test_diffusion_solve_neumann_preserves_cell_sum():
     assert abs(out.sum() - q.sum()) < 1e-12 * q.sum()
 
 
-def test_diffusion_solve_iteration_cap():
-    p = params(nx=8, ny=8)
-    g = build_grid(p)
+def diffusion_cg_capped_at_one(c=100.0):
+    """_cg on the system (I - c*Lap) x = q that implicit_diffusion_solve
+    builds (rows of ny+1 with a zero ghost, mirror walls folded into the
+    diagonal), on an 8x8 grid, with a cap of one iteration."""
+    g = build_grid(params(nx=8, ny=8))
     q = np.random.default_rng(1).random((g.nx, g.ny))
+    cx, cy = c / g.hx ** 2, c / g.hy ** 2
+    diag = np.zeros((g.nx, g.ny + 1))
+    d = diag[:, :g.ny]
+    d[...] = 1.0 + 2.0 * (cx + cy)
+    d[0, :] -= cx
+    d[-1, :] -= cx
+    d[:, 0] -= cy
+    d[:, -1] -= cy
+    b = np.zeros((g.nx, g.ny + 1))
+    b[:, :g.ny] = q
+    b, diag = b.ravel(), diag.ravel()
+    matvec = lambda v, out, s: _diffusion_matvec(g, diag, cx, cy, v, out, s)  # noqa: E731
+    _cg("diffusion", matvec, b, b.copy(), 1e-12, 1)
+
+
+def test_diffusion_solve_iteration_cap():
     with pytest.raises(LinearSolveDivergence):
-        implicit_diffusion_solve(g, q, 10.0, 10.0, max_iter=1)
+        diffusion_cg_capped_at_one()
 
 
 # ------------------------------------------------------------------
@@ -386,10 +414,8 @@ def test_diffusion_solve_nonfinite_rhs_raises(value):
 
 
 def test_diffusion_solve_stall_message():
-    g = build_grid(params(nx=8, ny=8))
-    q = np.random.default_rng(1).random((g.nx, g.ny))
     with pytest.raises(LinearSolveDivergence, match=r"^diffusion CG stalled after 1 iterations, residual "):
-        implicit_diffusion_solve(g, q, 10.0, 10.0, max_iter=1)
+        diffusion_cg_capped_at_one()
 
 
 @pytest.mark.parametrize("coef", [-1.0, np.nan, np.inf])
@@ -764,6 +790,13 @@ def test_run_checks_a_callers_initial_state(defect, tmp_path):
         s.ux[0, 3] = 0.5
     with pytest.raises(ValidationError):
         run(cfg, initial_state=s, output_dir=tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+def test_run_with_an_escaping_run_id_writes_nothing(tmp_path):
+    # the run_id is checked when the Config is built, before any work
+    with pytest.raises(ValidationError, match="run_id '../escaped' is not filesystem-safe"):
+        run(replace(small_config(t_final=0.01), run_id="../escaped"), output_dir=tmp_path / "out")
     assert not any(tmp_path.iterdir())
 
 

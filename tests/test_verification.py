@@ -477,6 +477,16 @@ def test_delta_sweep_records_member_failure_and_continues():
     assert all(np.isnan(row["dist_rho"]) for row in rep.rows) and rep.notes == []
 
 
+def test_delta_sweep_records_an_inadmissible_member_as_epsilon_sweep_does():
+    # Config.with_params checks each member: a negative delta is a failed
+    # row, not an up-front error that discards the members that can run
+    cfg = small_sweep_config(eps=0.0, delta=1e-2)
+    rep = delta_sweep(cfg, [1e-2, -1e-2], n_records=5)
+    assert rep.rows[0]["ok"] is True and rep.rows[0]["dist_rho"] == 0.0
+    assert rep.rows[1]["ok"] is False
+    assert rep.rows[1]["error"] == "ValidationError: delta must be >= 0, got -0.01"
+
+
 def test_delta_sweep_zero_member_exact_zero_pressure_column():
     cfg = small_sweep_config(eps=0.0, delta=1e-2)
     rep = delta_sweep(cfg, [1e-2, 0.0], n_records=5)
