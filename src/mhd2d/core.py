@@ -10,7 +10,7 @@ parameters are enforced here, once, so downstream code can assume them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .errors import (
     AdiabaticExponentInadmissible,
     BoundViolation,
     GammaTooSmall,
+    NonpositiveField,
     ValidationError,
     ViscosityInadmissible,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "validate_params",
     "build_grid",
     "init_state",
+    "ratio_bounds",
 ]
 
 
@@ -135,15 +137,22 @@ class Grid:
 
     Array shapes: cell-center scalars (nx, ny), x-face fields
     (nx+1, ny), y-face fields (nx, ny+1).  Index [i, j] maps to the
-    x and y directions respectively.
+    x and y directions respectively.  hx = Lx/nx and hy = Ly/ny are plain
+    attributes set at construction: the Krylov matvecs read them every iteration.
     """
 
     nx: int
     ny: int
     Lx: float
     Ly: float
-    hx: float
-    hy: float
+    hx: float = field(init=False)
+    hy: float = field(init=False)
+
+    def __post_init__(self):
+        if self.nx < 4 or self.ny < 4:
+            raise ValidationError(f"need at least 4 cells per direction, got nx={self.nx}, ny={self.ny}")
+        object.__setattr__(self, "hx", self.Lx / self.nx)
+        object.__setattr__(self, "hy", self.Ly / self.ny)
 
     @property
     def cell_area(self) -> float:
@@ -178,22 +187,20 @@ class Grid:
 
 
 def build_grid(params: SimulationParams) -> Grid:
-    """Uniform MAC grid; hx = Lx/nx, hy = Ly/ny."""
-    if params.nx < 4 or params.ny < 4:
-        raise ValidationError(f"need at least 4 cells per direction, got nx={params.nx}, ny={params.ny}")
-    return Grid(
-        nx=params.nx,
-        ny=params.ny,
-        Lx=params.Lx,
-        Ly=params.Ly,
-        hx=params.Lx / params.nx,
-        hy=params.Ly / params.ny,
-    )
+    """The uniform MAC grid of `params`."""
+    return Grid(params.nx, params.ny, params.Lx, params.Ly)
 
 
 # ------------------------------------------------------------------
 # State
 # ------------------------------------------------------------------
+
+def field_shapes(nx: int, ny: int) -> dict[str, tuple[int, int]]:
+    """The table of State's fields, in snapshot order, each with its shape
+    on an nx x ny mesh: scalars at cell centers, each velocity component
+    on the faces normal to it."""
+    return {"rho": (nx, ny), "b": (nx, ny), "ux": (nx + 1, ny), "uy": (nx, ny + 1)}
+
 
 @dataclass(frozen=True)
 class State:
@@ -217,10 +224,9 @@ class State:
 
 def check_state(state: State, grid: Grid) -> None:
     """Assert shape consistency, positivity and no-slip closure."""
-    if state.rho.shape != (grid.nx, grid.ny) or state.b.shape != (grid.nx, grid.ny):
-        raise ValidationError("scalar field shape inconsistent with grid")
-    if state.ux.shape != (grid.nx + 1, grid.ny) or state.uy.shape != (grid.nx, grid.ny + 1):
-        raise ValidationError("face field shape inconsistent with grid")
+    for name, shape in field_shapes(grid.nx, grid.ny).items():
+        if getattr(state, name).shape != shape:
+            raise ValidationError(f"field {name} has shape {getattr(state, name).shape}, the grid needs {shape}")
     if not (np.all(state.rho > 0.0) and np.all(state.b > 0.0)):
         raise BoundViolation("rho and b must be strictly positive at every cell")
     if np.any(state.ux[0, :] != 0.0) or np.any(state.ux[-1, :] != 0.0):
@@ -299,6 +305,14 @@ class RatioEnvelope:
             )
 
 
+def ratio_bounds(state: State) -> tuple[float, float]:
+    """(min, max) of b/rho over cells; rho must be positive."""
+    if state.rho.min() <= 0.0:
+        raise NonpositiveField("ratio_bounds needs rho > 0")
+    ratio = state.b / state.rho
+    return float(ratio.min()), float(ratio.max())
+
+
 def _cos_mode(grid: Grid, amp: float, kx: int, ky: int) -> np.ndarray:
     """amp*cos(kx pi x/Lx)*cos(ky pi y/Ly) at the cell centers, sampled like
     every closed form here: on an x column by a y row, broadcast to (nx, ny)."""
@@ -353,8 +367,7 @@ def init_state(grid: Grid, spec: InitialDataSpec) -> tuple[State, RatioEnvelope]
                 f"{name} range [{lo}, {hi}] escapes declared bounds [{spec.m}, {spec.M}]"
             )
 
-    ratio_field = b0 / rho0
-    envelope = RatioEnvelope(float(ratio_field.min()), float(ratio_field.max()))
     state = State(rho=rho0, b=b0, ux=ux, uy=uy, t=0.0)
+    envelope = RatioEnvelope(*ratio_bounds(state))
     check_state(state, grid)
     return state, envelope

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import Grid, SimulationParams, State
+# record_state looks ratio_bounds up here, so patching diagnostics.ratio_bounds reaches it
+from .core import Grid, SimulationParams, State, _require_finite, ratio_bounds
 from .eos import pressure_total
-from .errors import GridMismatch, NonpositiveField, SupportNotCovered
+from .errors import GridMismatch, NonpositiveField, SupportNotCovered, ValidationError
 from .operators import (
     FaceField,
     box_average,
@@ -181,14 +182,6 @@ def _weighted_grad_sq(grid: Grid, g: FaceField, w_cc: np.ndarray) -> float:
     ) * grid.cell_area
 
 
-def ratio_bounds(state: State) -> tuple[float, float]:
-    """(min, max) of b/rho over cells; rho must be positive."""
-    if state.rho.min() <= 0.0:
-        raise NonpositiveField("ratio_bounds needs rho > 0")
-    ratio = state.b / state.rho
-    return float(ratio.min()), float(ratio.max())
-
-
 def convex_fraction_functional(state: State, grid: Grid) -> float:
     """int rho^2/(rho+b): jointly convex and 1-homogeneous, hence
     non-increasing under the monotone conservative updates of the solver."""
@@ -265,12 +258,16 @@ def high_frequency_energy_fraction(field: np.ndarray) -> float:
 # Cut-off functions
 # ------------------------------------------------------------------
 
+def _require_level(k: float) -> None:
+    if not k >= 1.0:
+        raise ValueError(f"cut-off level k must be >= 1, got {k}")
+
+
 def cutoff_tk(z, k: float = 1.0):
     """T_k(z) = k*T(z/k), T identity below 1, Hermite cubic on [1, 3], 2 above:
     concave, non-decreasing, 1-Lipschitz, C^1; equals z below k and
     saturates at 2k above 3k."""
-    if k < 1.0:
-        raise ValueError(f"cut-off level k must be >= 1, got {k}")
+    _require_level(k)
     z = np.asarray(z, dtype=float) / k
     s = z - 1.0
     out = k * np.where(z <= 1.0, z, np.where(z >= 3.0, 2.0, 1.0 + s - 0.25 * s * s))
@@ -278,12 +275,14 @@ def cutoff_tk(z, k: float = 1.0):
 
 
 def cutoff_tk_d1(z, k: float = 1.0):
+    _require_level(k)
     z = np.asarray(z, dtype=float) / k
     out = np.where(z <= 1.0, 1.0, np.where(z >= 3.0, 0.0, 1.0 - 0.5 * (z - 1.0)))
     return out if out.ndim else float(out)
 
 
 def cutoff_tk_d2(z, k: float = 1.0):
+    _require_level(k)
     z = np.asarray(z, dtype=float) / k
     out = np.where((z > 1.0) & (z < 3.0), -0.5, 0.0) / k
     return out if out.ndim else float(out)
@@ -322,7 +321,8 @@ class TestFunction:
 
     Support is (t0 - 2wt, t0 + 2wt) x (x0 +- 2wx) x (y0 +- 2wy) and must
     sit strictly inside (0, T) x Omega for the quadratures to be free of
-    boundary terms; the factory `centered_in` guarantees that.
+    boundary terms; the factory `centered_in` guarantees that.  A value
+    that is not finite or a width that is not positive raises ValidationError.
     """
 
     __test__ = False  # pytest: not a test case despite the name
@@ -333,6 +333,12 @@ class TestFunction:
     wx: float
     y0: float
     wy: float
+
+    def __post_init__(self):
+        _require_finite(self)
+        for name in ("wt", "wx", "wy"):
+            if not getattr(self, name) > 0.0:
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
 
     @staticmethod
     def centered_in(grid: Grid, t_end: float) -> "TestFunction":
@@ -364,28 +370,33 @@ class TestFunction:
             (y - self.y0) / self.wy
         ) + _bspline((x - self.x0) / self.wx) * _bspline_d2((y - self.y0) / self.wy) / self.wy ** 2
 
-    def t_support(self) -> tuple[float, float]:
-        return self.t0 - 2.0 * self.wt, self.t0 + 2.0 * self.wt
+    def support(self) -> list[tuple[float, float]]:
+        """The t, x and y intervals of the support: center -+ 2 widths."""
+        return [(c - 2.0 * w, c + 2.0 * w)
+                for c, w in ((self.t0, self.wt), (self.x0, self.wx), (self.y0, self.wy))]
 
 
 def _spacetime_integral(traj, test: TestFunction, integrand) -> list[float]:
     """The space-time quadrature every pairing against `test` goes through.
 
-    Checks that the snapshots cover the test's time support, samples
-    (phi, dphi/dx, dphi/dy, Lap phi) once at the cell centers (on an x
-    column by a y row, like every closed form sampled here), and calls
-    integrand(state, psi(t), psi'(t), *those four) on each snapshot; the
-    integrand returns one midpoint-in-space value per component, and each
-    component is integrated by the trapezoid over the snapshot times.
+    Checks that the test's support lies in the snapshots' time span and in
+    [0, Lx] x [0, Ly], samples (phi, dphi/dx, dphi/dy, Lap phi) once at
+    the cell centers (on an x column by a y row, like every closed form
+    sampled here), and calls integrand(state, psi(t), psi'(t), *those
+    four) on each snapshot; the integrand returns one midpoint-in-space
+    value per component, integrated by the trapezoid over the snapshot times.
     """
-    lo, hi = test.t_support()
-    times = traj.times
+    (lo, hi), (xlo, xhi), (ylo, yhi) = test.support()
+    times, grid = traj.times, traj.grid
     if not times or times[0] > lo or times[-1] < hi:
         raise SupportNotCovered(
             f"snapshots cover [{times[0] if times else '-'}, "
             f"{times[-1] if times else '-'}], test support is [{lo}, {hi}]"
         )
-    x, y = traj.grid.xc[:, None], traj.grid.yc[None, :]  # each product broadcasts to (nx, ny)
+    if min(xlo, ylo) < 0.0 or xhi > grid.Lx or yhi > grid.Ly:
+        raise SupportNotCovered(f"test support [{xlo}, {xhi}] x [{ylo}, {yhi}] "
+                                f"leaves the domain [0, {grid.Lx}] x [0, {grid.Ly}]")
+    x, y = grid.xc[:, None], grid.yc[None, :]  # each product broadcasts to (nx, ny)
     phis = (test.phi(x, y), test.phi_dx(x, y), test.phi_dy(x, y), test.phi_lap(x, y))
     vals = [integrand(st, test.psi(st.t), test.psi_d1(st.t), *phis) for st in traj.states]
     return [float(np.trapezoid(comp, times)) for comp in zip(*vals)]
@@ -404,6 +415,8 @@ def evf_pairing(traj, test: TestFunction, weight: str = "sum", k: float = 1.0) -
     """
     if weight not in ("sum", "tk"):
         raise ValueError(f"unknown weight {weight!r}, pick 'sum' or 'tk'")
+    if weight == "tk":
+        _require_level(k)
     params, grid = traj.params, traj.grid
 
     def integrand(st, psi, dpsi, phi, *_):
@@ -514,6 +527,7 @@ def renormalized_residual(
         h1 = lambda z: np.ones_like(z)
         h2 = lambda z: np.zeros_like(z)
     elif h_choice == "tk":
+        _require_level(k)
         h = lambda z: cutoff_tk(z, k)
         h1 = lambda z: cutoff_tk_d1(z, k)
         h2 = lambda z: cutoff_tk_d2(z, k)
@@ -543,8 +557,7 @@ def renormalized_residual(
 # ------------------------------------------------------------------
 
 def _require_shared_axis(traj_a, traj_b) -> None:
-    ga, gb = traj_a.grid, traj_b.grid
-    if (ga.nx, ga.ny, ga.Lx, ga.Ly) != (gb.nx, gb.ny, gb.Lx, gb.Ly):
+    if traj_a.grid != traj_b.grid:
         raise GridMismatch("trajectories live on different grids")
     if len(traj_a.times) != len(traj_b.times) or not np.allclose(
         traj_a.times, traj_b.times, rtol=0.0, atol=1e-12

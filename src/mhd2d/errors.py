@@ -51,7 +51,7 @@ class LinearSolveDivergence(Mhd2dError):
 
 
 class SupportNotCovered(Mhd2dError):
-    """Trajectory snapshots do not cover a test function's time support."""
+    """A test function's support leaves the snapshots' time span or the domain."""
 
 
 class GridMismatch(Mhd2dError):

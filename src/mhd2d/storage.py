@@ -4,10 +4,10 @@ Snapshot layout (all little-endian):
     magic "MHD2" | version u32 | nx u64 | ny u64 | time f64 | nfields u32
     then per field: name length u32 | name bytes (utf-8)
     then the payloads in declared order, row-major f64.
-Field shapes are implied by their names (rho/b at centers, ux/uy on
-faces), and the reader checks every declared length against the file
-size before reading it, so a truncated, resized or bit-flipped file fails
-loudly instead of shearing arrays or allocating what its header claims.
+Field order and shapes come from core.field_shapes (rho/b at centers,
+ux/uy on faces), and the reader checks every declared length against the
+file size before reading it, so a truncated, resized or bit-flipped file
+fails loudly instead of shearing arrays or allocating what its header claims.
 Field names must be utf-8, known and distinct, and every payload value
 must be finite: no run records a NaN or an infinity, so one in a file
 means the file is corrupt.
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Grid, State
+from .core import Grid, State, field_shapes
 from .diagnostics import CSV_COLUMNS, DiagnosticsRecord, DiagnosticsSeries
 from .errors import FormatError, ParseError
 
@@ -38,32 +38,21 @@ __all__ = [
 MAGIC = b"MHD2"
 VERSION = 1
 
-_FIELD_ORDER = ("rho", "b", "ux", "uy")
-
-
-def _field_shape(name: str, nx: int, ny: int) -> tuple[int, int]:
-    if name in ("rho", "b"):
-        return (nx, ny)
-    if name == "ux":
-        return (nx + 1, ny)
-    if name == "uy":
-        return (nx, ny + 1)
-    raise FormatError(f"unknown field name {name!r} in snapshot")
-
 
 def write_snapshot(state: State, path) -> None:
     nx, ny = state.rho.shape
+    names = list(field_shapes(nx, ny))
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<QQ", nx, ny))
         fh.write(struct.pack("<d", state.t))
-        fh.write(struct.pack("<I", len(_FIELD_ORDER)))
-        for name in _FIELD_ORDER:
+        fh.write(struct.pack("<I", len(names)))
+        for name in names:
             raw = name.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-        for name in _FIELD_ORDER:
+        for name in names:
             arr = getattr(state, name)
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
@@ -96,6 +85,7 @@ def _read_header(fh) -> dict:
     (nf,) = struct.unpack("<I", _read_exact(fh, 4))
     if 4 * nf > size - fh.tell():
         raise FormatError(f"truncated snapshot: {nf} declared fields overrun the file's {size} bytes")
+    shapes = field_shapes(nx, ny)
     names, payload = [], 0
     for _ in range(nf):
         (ln,) = struct.unpack("<I", _read_exact(fh, 4))
@@ -108,25 +98,20 @@ def _read_header(fh) -> dict:
             raise FormatError(f"field name {raw[:32]!r} is not utf-8") from exc
         if name in names:
             raise FormatError(f"field {name!r} repeated in snapshot header")
-        rows, cols = _field_shape(name, nx, ny)
+        if name not in shapes:
+            raise FormatError(f"unknown field name {name!r} in snapshot")
+        rows, cols = shapes[name]
         payload += 8 * rows * cols
         names.append(name)
-    offset = fh.tell()
-    if payload > size - offset:
+    left = size - fh.tell()
+    if payload > left:
         raise FormatError(
             f"truncated snapshot: {nx} x {ny} fields {names} need {payload} payload bytes, "
-            f"the file holds {size - offset}"
+            f"the file holds {left}"
         )
-    if payload < size - offset:
+    if payload < left:
         raise FormatError("snapshot has trailing bytes beyond declared payload")
-    return {
-        "version": version,
-        "nx": int(nx),
-        "ny": int(ny),
-        "time": t,
-        "fields": names,
-        "payload_offset": offset,
-    }
+    return {"version": version, "nx": int(nx), "ny": int(ny), "time": t, "fields": names}
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -146,20 +131,19 @@ def read_snapshot(path, grid: Grid | None = None) -> State:
             raise FormatError(
                 f"snapshot dims ({nx}, {ny}) do not match grid ({grid.nx}, {grid.ny})"
             )
+        shapes = field_shapes(nx, ny)
         for name in hdr["fields"]:
-            shape = _field_shape(name, nx, ny)
+            shape = shapes[name]
             buf = _read_exact(fh, shape[0] * shape[1] * 8)
             arr = arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
             bad = np.argwhere(~np.isfinite(arr))
             if bad.size:
                 i, j = bad[0]
                 raise FormatError(f"field {name!r} is not finite at index ({i}, {j}): {arr[i, j]}")
-    missing = [n for n in _FIELD_ORDER if n not in arrays]
+    missing = [n for n in shapes if n not in arrays]
     if missing:
         raise FormatError(f"snapshot lacks fields {missing}")
-    return State(
-        rho=arrays["rho"], b=arrays["b"], ux=arrays["ux"], uy=arrays["uy"], t=hdr["time"]
-    )
+    return State(**arrays, t=hdr["time"])
 
 
 # ------------------------------------------------------------------

@@ -372,9 +372,8 @@ def _sweep(config: Config, parameter: str, values, columns, n_records: int, meas
     finest member that ran is the reference: dist_rho, dist_b, dist_u are
     terminal L2 distances to it and `compare(row, traj, finest_row, finest)`
     adds the sweep's own; both run on every member that ran, the finest
-    too (exactly 0 at itself).  Returns the report, the (row, trajectory
-    or None) pair of each value, and the finest trajectory (None when
-    every member failed).
+    too (exactly 0 at itself).  Returns the report and the (row,
+    trajectory) pair of each member that ran, finest last.
     """
     grid = build_grid(config.params)
     state0, env = init_state(grid, config.init)
@@ -382,7 +381,7 @@ def _sweep(config: Config, parameter: str, values, columns, n_records: int, meas
     test = TestFunction.centered_in(grid, config.params.t_final)
 
     report = SweepReport(parameter=parameter, values=values, columns=columns)
-    results = []
+    ran = []
     for v in values:
         row = {c: float("nan") for c in columns}
         row.update({parameter: v, "ok": True, "error": ""})
@@ -396,20 +395,18 @@ def _sweep(config: Config, parameter: str, values, columns, n_records: int, meas
                 float(series.column("ratio_max").max()) - env.c_upper,
             )
             measure(row, member.params, traj, series, test)
-            results.append((row, traj))
+            ran.append((row, traj))
         except Mhd2dError as exc:
             row["ok"] = False
             row["error"] = f"{type(exc).__name__}: {exc}"
-            results.append((row, None))
         report.rows.append(row)
 
-    ran = [(row, traj) for row, traj in results if traj is not None]
     finest_row, finest = ran[-1] if ran else (None, None)
     for row, traj in ran:
         d, _ = _field_distances(traj.states[-1], finest.states[-1], grid.cell_area)
         row["dist_rho"], row["dist_b"], row["dist_u"] = d
         compare(row, traj, finest_row, finest)
-    return report, results, finest
+    return report, ran
 
 
 def epsilon_sweep(config: Config, eps_list, n_records: int = 21) -> SweepReport:
@@ -444,17 +441,16 @@ def epsilon_sweep(config: Config, eps_list, n_records: int = 21) -> SweepReport:
         "dist_rho", "dist_b", "dist_u", "comp_defect_rho", "comp_defect_b",
         "evf_pairing", "entropy_gap_max",
     ]
-    report, results, finest = _sweep(config, "eps", eps_list, columns, n_records, measure, compare)
-    if finest is None:
+    report, ran = _sweep(config, "eps", eps_list, columns, n_records, measure, compare)
+    if not ran:
         return report
 
-    coarser = [r for r, tr in results if tr is not None and tr is not finest]
-    dists = [r["dist_rho"] for r in coarser]
-    vals = [r["eps"] for r in coarser]
+    dists = [r["dist_rho"] for r, _ in ran[:-1]]
+    vals = [r["eps"] for r, _ in ran[:-1]]
     if len(dists) >= 2 and min(dists) > 0.0:
         order = richardson_order(dists, vals)
         report.notes.append(f"observed order of dist_rho vs eps: {order:.3f}")
-    pairings = [r["evf_pairing"] for r, tr in results if tr is not None]
+    pairings = [r["evf_pairing"] for r, _ in ran]
     if len(pairings) >= 3:
         gaps = [abs(a - b) for a, b in zip(pairings, pairings[1:])]
         report.notes.append(
@@ -466,6 +462,7 @@ def epsilon_sweep(config: Config, eps_list, n_records: int = 21) -> SweepReport:
         "entropy_gap_max compares against the finest member as proxy limit; "
         "expected <= 0 up to quadrature error (reported, not asserted)"
     )
+    finest = ran[-1][1]
     last = finest.states[-1]
     evf_hf = high_frequency_energy_fraction(
         effective_viscous_flux_field(last, finest.params, finest.grid)
@@ -505,8 +502,8 @@ def delta_sweep(config: Config, delta_list, n_records: int = 21) -> SweepReport:
         "ratio_drift", "dist_rho", "dist_b", "dist_u", "evf_tk_pairing",
         "evf_tk_defect",
     ]
-    report, results, finest = _sweep(config, "delta", delta_list, columns, n_records, measure, compare)
-    if finest is None:
+    report, ran = _sweep(config, "delta", delta_list, columns, n_records, measure, compare)
+    if not ran:
         return report
 
     report.notes.append(

@@ -1,5 +1,12 @@
 import sys
 
+from hypothesis import settings
+
+# property tests draw the same examples on every run, so tier-1 stays
+# deterministic, and keep no example database between runs
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=40)
+settings.load_profile("tier1")
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance criterion lines after the run, past capture."""

@@ -83,6 +83,13 @@ def test_missing_config_path_exit_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_unwritable_output_dir_is_an_io_error_exit_2(small_cfg, tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert cli_main(["run", small_cfg, "--output-dir", str(blocker)]) == 2
+    assert capsys.readouterr().err.startswith("io error: ")
+
+
 def test_invalid_config_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("nx = 12\nny = 12\nt_final = 1\nGamma = 3\ndelta = 0.1\n")

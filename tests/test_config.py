@@ -53,6 +53,12 @@ def test_missing_required_keys():
         parse_config("nx = 8\nny = 8\n")
 
 
+@pytest.mark.parametrize("line", ["nx =", "= 8"])
+def test_empty_key_or_value_rejected_with_line(line):
+    with pytest.raises(ParseError, match="line 4: empty key or value"):
+        parse_config(MINIMAL + line + "\n")
+
+
 def test_bad_value_reports_key():
     with pytest.raises(ParseError, match="bad value for 'nx'"):
         parse_config("nx = eight\nny = 8\nt_final = 1\n")

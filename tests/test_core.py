@@ -1,17 +1,20 @@
 """Parameter admissibility, grid construction, and initial-data bounds."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from mhd2d.core import (
+    Grid,
     InitialDataSpec,
     RatioEnvelope,
     SimulationParams,
     State,
     build_grid,
     check_state,
+    field_shapes,
     init_state,
     validate_params,
 )
@@ -107,6 +110,22 @@ def test_grid_spacing_arithmetic():
 def test_grid_rejects_too_few_cells():
     with pytest.raises(ValidationError):
         validate_params(SimulationParams(nx=2))
+    with pytest.raises(ValidationError, match="need at least 4 cells per direction, got nx=4, ny=3"):
+        Grid(4, 3, 1.0, 1.0)
+
+
+def test_grid_derives_its_spacing_from_four_values():
+    g = Grid(12, 7, 1.3, 0.9)
+    assert (g.hx, g.hy) == (1.3 / 12, 0.9 / 7)
+    assert g == build_grid(validate_params(SimulationParams(nx=12, ny=7, Lx=1.3, Ly=0.9)))
+    with pytest.raises(TypeError):
+        Grid(12, 7, 1.3, 0.9, hx=0.1, hy=0.1)
+    assert dataclasses.replace(g, nx=26).hx == 1.3 / 26
+
+
+def test_field_table_matches_the_mac_staggering():
+    assert field_shapes(5, 3) == {"rho": (5, 3), "b": (5, 3), "ux": (6, 3), "uy": (5, 4)}
+    assert list(field_shapes(5, 3)) == [f.name for f in dataclasses.fields(State) if f.name != "t"]
 
 
 def test_grid_coordinates_and_shapes():
@@ -196,6 +215,27 @@ def test_check_state_catches_shape_and_boundary_violations():
         check_state(State(rho=s.rho, b=s.b, ux=bad_ux, uy=s.uy, t=0.0), g)
     with pytest.raises(BoundViolation):
         check_state(State(rho=s.rho - 2.0, b=s.b, ux=s.ux, uy=s.uy, t=0.0), g)
+    bad_uy = s.uy.copy()
+    bad_uy[5, -1] = -1e-30
+    with pytest.raises(ValidationError, match="no-slip violated on y-boundary faces"):
+        check_state(State(rho=s.rho, b=s.b, ux=s.ux, uy=bad_uy, t=0.0), g)
+
+
+@pytest.mark.parametrize("name, shape", [("rho", (16, 15)), ("b", (15, 16)),
+                                         ("ux", (16, 16)), ("uy", (16, 16))])
+def test_check_state_names_the_field_of_a_wrong_shape(name, shape):
+    g = grid16()
+    s, _ = init_state(g, InitialDataSpec(kind="constant"))
+    bad = dataclasses.replace(s, **{name: np.ones(shape)})
+    want = field_shapes(16, 16)[name]
+    with pytest.raises(ValidationError, match=re.escape(f"field {name} has shape {shape}, the grid needs {want}")):
+        check_state(bad, g)
+
+
+def test_initial_field_that_overflows_is_rejected_as_non_finite():
+    spec = InitialDataSpec(kind="cosine-perturbation", rho_base=1e308, rho_amp=0.9)
+    with np.errstate(over="ignore"), pytest.raises(BoundViolation, match="rho0 contains non-finite entries"):
+        init_state(grid16(), spec)
 
 
 def test_snapshot_file_kind_round_trip(tmp_path):

@@ -28,7 +28,7 @@ from mhd2d.diagnostics import (
     _bspline_d1,
     _bspline_d2,
 )
-from mhd2d.errors import GridMismatch, SupportNotCovered
+from mhd2d.errors import GridMismatch, NonpositiveField, SupportNotCovered, ValidationError
 from mhd2d.solver import Trajectory, run
 
 
@@ -153,6 +153,17 @@ def test_ratio_bounds_cases():
     assert ratio_bounds(s2) == (0.5, 1.5)
 
 
+@pytest.mark.parametrize("functional, rho, b, message", [
+    (lambda s, g: ratio_bounds(s), 0.0, 1.0, "ratio_bounds needs rho > 0"),
+    (convex_fraction_functional, -1.0, 0.5, "fraction functional needs rho \\+ b > 0"),
+    (log_entropy, 1.0, 0.0, "log entropy needs rho, b > 0"),
+], ids=["ratio_bounds", "convex_fraction_functional", "log_entropy"])
+def test_functionals_reject_nonpositive_fields(functional, rho, b, message):
+    g = build_grid(params())
+    with pytest.raises(NonpositiveField, match=message):
+        functional(uniform_state(g, rho, b), g)
+
+
 def test_fraction_functional_values():
     p = params()
     g = build_grid(p)
@@ -207,6 +218,13 @@ def test_cutoff_concave_nondecreasing_lipschitz():
         assert np.all(np.diff(d) <= 1e-10)             # concave (slopes decrease)
 
 
+@pytest.mark.parametrize("fn", [cutoff_tk, cutoff_tk_d1, cutoff_tk_d2])
+@pytest.mark.parametrize("k", [0.0, 0.5, np.nan])
+def test_every_cutoff_rejects_a_level_below_one(fn, k):
+    with pytest.raises(ValueError, match="cut-off level k must be >= 1"):
+        fn(1.0, k=k)
+
+
 def test_cutoff_c1_at_joints():
     for k in (1.0, 3.0):
         for z0 in (1.0 * k, 3.0 * k):
@@ -257,6 +275,56 @@ def test_support_not_covered_raised():
         evf_pairing(traj, test)
     with pytest.raises(SupportNotCovered):
         weak_residual(traj, test, "mass")
+
+
+@pytest.mark.parametrize("center", [dict(x0=0.9, y0=0.5), dict(x0=0.5, y0=0.1)],
+                         ids=["x-wall", "y-wall"])
+def test_a_spatial_support_across_a_wall_is_not_covered(center):
+    # u = 0 and constant fields solve the target system exactly; a bump
+    # across a wall drops the boundary term int P phi, which must not be
+    # reported as a residual
+    p = params(nx=16, ny=16, eps=0.0, delta=0.0, t_final=0.2)
+    g = build_grid(p)
+    traj = constant_trajectory(g, p, np.linspace(0.0, 0.2, 21))
+    assert weak_residual(traj, TestFunction.centered_in(g, 0.2), "momentum") == 0.0
+    test = TestFunction(t0=0.1, wt=0.04, wx=0.2, wy=0.2, **center)
+    with pytest.raises(SupportNotCovered, match="leaves the domain"):
+        weak_residual(traj, test, "momentum")
+
+
+@pytest.mark.parametrize("name, value", [("wt", 0.0), ("wx", -0.2), ("wy", 0.0),
+                                         ("x0", np.nan), ("t0", np.inf)])
+def test_test_function_rejects_non_finite_values_and_non_positive_widths(name, value):
+    kw = dict(t0=0.5, wt=0.2, x0=0.5, wx=0.2, y0=0.5, wy=0.2)
+    kw[name] = value
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        TestFunction(**kw)
+
+
+@pytest.mark.parametrize("pairing", [
+    lambda traj, test: evf_pairing(traj, test, weight="tk", k=0.5),
+    lambda traj, test: renormalized_residual(traj, test, h_choice="tk", k=0.5),
+], ids=["evf_pairing", "renormalized_residual"])
+def test_pairings_check_the_cutoff_level_first(pairing):
+    p = params(t_final=1.0)
+    g = build_grid(p)
+    # the snapshots miss the test's support: k is checked first
+    traj = constant_trajectory(g, p, np.linspace(0.0, 0.3, 4))
+    with pytest.raises(ValueError, match="cut-off level k must be >= 1, got 0.5"):
+        pairing(traj, TestFunction.centered_in(g, 1.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda traj, test: weak_residual(traj, test, "energy"), "unknown equation 'energy'"),
+    (lambda traj, test: renormalized_residual(traj, test, h_choice="log"), "unknown h_choice 'log'"),
+    (lambda traj, test: composition_defect(traj, traj, p=1.0), "exponent p must exceed 1, got 1.0"),
+], ids=["equation", "h_choice", "exponent"])
+def test_residuals_name_a_bad_argument(call, message):
+    p = params(t_final=1.0)
+    g = build_grid(p)
+    traj = constant_trajectory(g, p, np.linspace(0.0, 1.0, 5))
+    with pytest.raises(ValueError, match=message):
+        call(traj, TestFunction.centered_in(g, 1.0))
 
 
 # ------------------------------------------------------------------

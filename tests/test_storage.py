@@ -51,6 +51,7 @@ def test_snapshot_header_contents(tmp_path):
     assert hdr["fields"] == ["rho", "b", "ux", "uy"]
     assert hdr["time"] == s.t
     assert hdr["version"] == 1
+    assert sorted(hdr) == ["fields", "nx", "ny", "time", "version"]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
@@ -183,6 +184,28 @@ def test_snapshot_repeated_field_name(tmp_path):
         read_snapshot(path)
 
 
+def test_snapshot_unknown_field_name(tmp_path):
+    path = crafted_snapshot(tmp_path / "k.mhd2", 2, 2, [b"rho", b"pressure"], b"\x00" * 64)
+    with pytest.raises(FormatError, match="unknown field name 'pressure' in snapshot"):
+        read_snapshot(path)
+
+
+def test_snapshot_short_fixed_size_read(tmp_path):
+    path = tmp_path / "short.mhd2"
+    path.write_bytes(b"MHD2\x01\x00")
+    with pytest.raises(FormatError, match="truncated snapshot: wanted 4 bytes, got 2"):
+        read_snapshot(path)
+
+
+def test_snapshot_missing_field(tmp_path):
+    nx, ny = 3, 2
+    count = 2 * nx * ny + (nx + 1) * ny
+    path = crafted_snapshot(tmp_path / "m.mhd2", nx, ny, [b"rho", b"b", b"ux"],
+                            np.ones(count, dtype="<f8").tobytes())
+    with pytest.raises(FormatError, match=r"snapshot lacks fields \['uy'\]"):
+        read_snapshot(path)
+
+
 # ------------------------------------------------------------------
 # CSV
 # ------------------------------------------------------------------
@@ -237,6 +260,15 @@ def test_csv_round_trip_exact(tmp_path):
     assert len(back.records) == 7
     for a, b in zip(records, back.records):
         assert a.as_row() == b.as_row()
+
+
+def test_csv_blank_lines_are_skipped(tmp_path):
+    recs = [awkward_record(k) for k in range(3)]
+    path = tmp_path / "ts.csv"
+    write_timeseries_csv(recs, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + ["\n"] + lines[2:] + ["\n"]))
+    assert read_timeseries_csv(path).records == recs
 
 
 def test_csv_bad_header(tmp_path):

@@ -385,6 +385,12 @@ def test_richardson_degenerate_inputs():
         richardson_order([1e-2, 1e-3], [0.1, -0.05])
 
 
+def test_run_mms_needs_two_resolutions():
+    ms = ManufacturedSolution(rho=1.0, b=1.0, ux=0.0, uy=0.0)
+    with pytest.raises(DegenerateInput, match="need at least two resolutions"):
+        run_mms(Config(params=params(t_final=0.02)), ms, resolutions=(8,))
+
+
 def test_run_mms_constant_state_roundoff_errors():
     ms = ManufacturedSolution(rho=1.0, b=1.0, ux=0.0, uy=0.0)
     cfg = Config(params=params(eps=1e-2, delta=1e-2, t_final=0.02))
@@ -442,6 +448,13 @@ def test_epsilon_sweep_records_member_failure_and_continues():
     assert "ValidationError" in rep.rows[1]["error"]
     # the surviving member still got distance columns (it is the finest ok run)
     assert rep.rows[0]["dist_rho"] == 0.0
+
+
+def test_epsilon_sweep_without_a_member_that_ran_has_no_notes():
+    cfg = small_sweep_config(eps=1e-2, delta=1e-2)
+    rep = epsilon_sweep(cfg, [-1e-2, -2e-2], n_records=5)  # both inadmissible
+    assert [row["ok"] for row in rep.rows] == [False, False]
+    assert all(np.isnan(row["dist_rho"]) for row in rep.rows) and rep.notes == []
 
 
 def test_sweep_summary_prints_the_failed_member():
