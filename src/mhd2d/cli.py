@@ -6,9 +6,9 @@ violated invariant), 2 usage/config errors.
 
 MHD2D_OUTPUT_DIR overrides the config's output_dir; --output-dir
 overrides both.  --cfl replaces the Courant number *after* validation:
-it must be finite and positive, but values above 1 are deliberately
-unchecked, so `verify --cfl 5.0` can demonstrate how the invariant suite
-catches an unstable run.
+SimulationParams admits any finite positive cfl, and --cfl skips the
+cfl <= 1 bound that validate_params adds, so `verify --cfl 5.0` can
+demonstrate how the invariant suite catches an unstable run.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to a key = value config file")
         p.add_argument("--output-dir", default=None)
         p.add_argument("--cfl", type=float, default=None,
-                       help="post-validation override of the Courant number (> 0, may exceed 1)")
+                       help="Courant number override, finite and > 0; skips validate_params' cfl <= 1")
 
     p_run = sub.add_parser("run", help="integrate a config and write outputs")
     add_common(p_run)

@@ -1,9 +1,9 @@
 """Run configuration: a flat key = value text format and its defaults.
 
-Minimal document: `nx`, `ny` and `t_final`.  Everything else has a
-documented default (see DEFAULTS/README).  Unknown and duplicate keys
-are rejected with line context; every other rule is checked by the type
-that holds the value (validate_params, InitialDataSpec, Config).
+Minimal document: `nx`, `ny` and `t_final`; every other key has a default
+(see README).  Unknown and duplicate keys are rejected with line context;
+validate_params adds cfl <= 1, and every other rule is checked by the type
+that holds the value (SimulationParams, InitialDataSpec, Config).
 """
 
 from __future__ import annotations

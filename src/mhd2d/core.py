@@ -44,17 +44,21 @@ __all__ = [
 class SimulationParams:
     """Physical constants, regularization knobs and run controls.
 
-    a, gamma        pressure law p = a * rho**gamma
+    a, gamma        pressure law p = a * rho**gamma (a > 0, gamma >= 1)
     mu, lam         shear / bulk viscosity (mu > 0, lam + 2*mu > 0)
     eps             artificial diffusion coefficient (>= 0)
-    delta, Gamma    artificial pressure delta*(rho+b)**Gamma
+    delta, Gamma    artificial pressure delta*(rho+b)**Gamma (delta >= 0,
+                    Gamma > 1, and Gamma > max(4, gamma) when delta > 0)
     Lx, Ly, nx, ny  rectangle size and cell counts
-    cfl             Courant number in (0, 1]
+    cfl             Courant number (> 0; validate_params adds cfl <= 1)
     t_final         end time (>= 0; 0 means diagnostics-only)
     dt_max          optional cap on the time step
     advect_scheme   "upwind" (monotone, default) or "centered" (2nd order,
                     no maximum-principle guarantee; used in order studies)
     freeze_velocity test hook: skip the momentum update entirely
+
+    Every rule but cfl <= 1 is checked when the params are built: a NaN or
+    inf, or a failed inequality, raises a ValidationError subclass quoting it.
     """
 
     a: float = 1.0
@@ -74,6 +78,41 @@ class SimulationParams:
     advect_scheme: str = "upwind"
     freeze_velocity: bool = False
 
+    def __post_init__(self):
+        _require_finite(self)
+        if not self.mu > 0.0:
+            raise ViscosityInadmissible(f"mu must be > 0, got mu={self.mu}")
+        if not self.lam + 2.0 * self.mu > 0.0:
+            raise ViscosityInadmissible(
+                f"lambda + 2*mu must be > 0, got {self.lam} + 2*{self.mu} = {self.lam + 2 * self.mu}"
+            )
+        if not self.gamma >= 1.0:
+            raise AdiabaticExponentInadmissible(f"gamma must be >= 1, got {self.gamma}")
+        if not self.a > 0.0:
+            raise ValidationError(f"pressure coefficient a must be > 0, got {self.a}")
+        if self.eps < 0.0:
+            raise ValidationError(f"eps must be >= 0, got {self.eps}")
+        if self.delta < 0.0:
+            raise ValidationError(f"delta must be >= 0, got {self.delta}")
+        if not self.Gamma > 1.0:
+            raise GammaTooSmall(f"Gamma must be > 1, got {self.Gamma}")
+        if self.delta > 0.0 and not self.Gamma > max(4.0, self.gamma):
+            raise GammaTooSmall(
+                f"Gamma must exceed max(4, gamma) = {max(4.0, self.gamma)} when "
+                f"delta > 0, got Gamma={self.Gamma}"
+            )
+        if not (self.Lx > 0.0 and self.Ly > 0.0):
+            raise ValidationError(f"domain sides must be positive, got Lx={self.Lx}, Ly={self.Ly}")
+        build_grid(self)  # owns the cell-count rule
+        if not self.cfl > 0.0:
+            raise ValidationError(f"cfl must be > 0, got {self.cfl}")
+        if self.t_final < 0.0:
+            raise ValidationError(f"t_final must be >= 0, got {self.t_final}")
+        if self.dt_max is not None and not self.dt_max > 0.0:
+            raise ValidationError(f"dt_max must be positive when given, got {self.dt_max}")
+        if self.advect_scheme not in ("upwind", "centered"):
+            raise ValidationError(f"unknown advect_scheme {self.advect_scheme!r}")
+
 
 def _require_finite(spec) -> None:
     """ValidationError naming the first NaN or infinite float field of the
@@ -84,46 +123,10 @@ def _require_finite(spec) -> None:
             raise ValidationError(f"{f.name} must be finite, got {v}")
 
 
-def validate_params(raw: SimulationParams) -> SimulationParams:
-    """Check every admissibility inequality; return params unchanged.
-
-    Raises a named ValidationError subclass quoting the failed
-    inequality.
-    """
-    p = raw
-    _require_finite(p)
-    if not p.mu > 0.0:
-        raise ViscosityInadmissible(f"mu must be > 0, got mu={p.mu}")
-    if not p.lam + 2.0 * p.mu > 0.0:
-        raise ViscosityInadmissible(
-            f"lambda + 2*mu must be > 0, got {p.lam} + 2*{p.mu} = {p.lam + 2 * p.mu}"
-        )
-    if not p.gamma >= 1.0:
-        raise AdiabaticExponentInadmissible(f"gamma must be >= 1, got {p.gamma}")
-    if not p.a > 0.0:
-        raise ValidationError(f"pressure coefficient a must be > 0, got {p.a}")
-    if p.eps < 0.0:
-        raise ValidationError(f"eps must be >= 0, got {p.eps}")
-    if p.delta < 0.0:
-        raise ValidationError(f"delta must be >= 0, got {p.delta}")
-    if not p.Gamma > 1.0:
-        raise GammaTooSmall(f"Gamma must be > 1, got {p.Gamma}")
-    if p.delta > 0.0 and not p.Gamma > max(4.0, p.gamma):
-        raise GammaTooSmall(
-            f"Gamma must exceed max(4, gamma) = {max(4.0, p.gamma)} when "
-            f"delta > 0, got Gamma={p.Gamma}"
-        )
-    if not (p.Lx > 0.0 and p.Ly > 0.0):
-        raise ValidationError(f"domain sides must be positive, got Lx={p.Lx}, Ly={p.Ly}")
-    build_grid(p)  # owns the cell-count rule
-    if not 0.0 < p.cfl <= 1.0:
+def validate_params(p: SimulationParams) -> SimulationParams:
+    """Add a stable run's Courant bound cfl <= 1 to the type's checks; return p."""
+    if not p.cfl <= 1.0:
         raise ValidationError(f"cfl must lie in (0, 1], got {p.cfl}")
-    if p.t_final < 0.0:
-        raise ValidationError(f"t_final must be >= 0, got {p.t_final}")
-    if p.dt_max is not None and not p.dt_max > 0.0:
-        raise ValidationError(f"dt_max must be positive when given, got {p.dt_max}")
-    if p.advect_scheme not in ("upwind", "centered"):
-        raise ValidationError(f"unknown advect_scheme {p.advect_scheme!r}")
     return p
 
 
@@ -180,10 +183,10 @@ class Grid:
         return np.meshgrid(self.xc, self.yc, indexing="ij")
 
     def zeros_xface(self) -> np.ndarray:
-        return np.zeros((self.nx + 1, self.ny))
+        return np.zeros(field_shapes(self.nx, self.ny)["ux"])
 
     def zeros_yface(self) -> np.ndarray:
-        return np.zeros((self.nx, self.ny + 1))
+        return np.zeros(field_shapes(self.nx, self.ny)["uy"])
 
 
 def build_grid(params: SimulationParams) -> Grid:
@@ -219,7 +222,7 @@ class State:
     t: float
 
     def copy(self) -> "State":
-        return State(self.rho.copy(), self.b.copy(), self.ux.copy(), self.uy.copy(), self.t)
+        return State(**{f: getattr(self, f).copy() for f in field_shapes(*self.rho.shape)}, t=self.t)
 
 
 def check_state(state: State, grid: Grid) -> None:

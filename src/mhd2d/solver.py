@@ -50,7 +50,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Grid, SimulationParams, State, _require_finite, build_grid, check_state
+from .core import Grid, SimulationParams, State, build_grid, check_state
 from .core import field_shapes, init_state, pin_noslip
 from .eos import pressure_total, sound_speed_sq
 from .errors import DegenerateState, LinearSolveDivergence, PositivityLoss, ValidationError
@@ -121,15 +121,14 @@ def stable_dt(state: State, params: SimulationParams, grid: Grid) -> float:
     acoustic speed (artificial pressure included) and the eps-drag speed
     eps*|grad rho| folded into the advective speeds.  Diffusion and
     viscosity are implicit, so they impose no h^2 restriction; dt_max,
-    when set, caps the result.  Raises DegenerateState, naming the
-    offending fields, if the result is not finite (a NaN or inf in the
-    state would otherwise slip past every later dt check), or, when every
-    field is finite, ValidationError naming a non-finite parameter such
-    as an unchecked cfl; and DegenerateState also if, before the dt_max
+    when set, caps the result.  Raises DegenerateState if the signal
+    speed is zero (every term can underflow), naming the offending fields
+    if the result is not finite (a NaN or inf in the state would
+    otherwise slip past every later dt check), and if, before the dt_max
     cap, it falls below the time resolution at state.t: such steps would
-    never bring a run to t_final.  (The floor follows the
-    current time, not t_final, because a huge t_final with a step budget
-    is how an open-ended run is asked for.)
+    never bring a run to t_final.  (The floor follows the current time,
+    not t_final, because a huge t_final with a step budget is how an
+    open-ended run is asked for.)
     """
     rho_min = float(state.rho.min())
     if rho_min <= 0.0:
@@ -141,11 +140,12 @@ def stable_dt(state: State, params: SimulationParams, grid: Grid) -> float:
         g = gradient_cc_to_face(grid, state.rho)
         umax += params.eps * float(np.abs(g.x).max())
         vmax += params.eps * float(np.abs(g.y).max())
-    dt = params.cfl / ((umax + c) / grid.hx + (vmax + c) / grid.hy)
+    speed = (umax + c) / grid.hx + (vmax + c) / grid.hy
+    if speed <= 0.0:
+        raise DegenerateState(f"zero signal speed: (umax + c)/hx + (vmax + c)/hy = {speed}, c = {c}")
+    dt = params.cfl / speed
     if not np.isfinite(dt):
         bad = [f for f in field_shapes(grid.nx, grid.ny) if not np.isfinite(getattr(state, f)).all()]
-        if not bad:
-            _require_finite(params)
         raise DegenerateState(
             f"stable_dt is not finite (dt={dt}); non-finite values in {', '.join(bad)}"
         )

@@ -130,6 +130,15 @@ def test_verify_constant_config_all_pass(tmp_path, capsys):
     assert "constant-fixed-point" in out
 
 
+def test_zero_signal_speed_is_a_named_abort(tmp_path, capsys):
+    # every sound-speed term underflows to 0 and u = 0, so no CFL step exists
+    path = tmp_path / "underflow.cfg"
+    path.write_text("nx = 8\nny = 8\nt_final = 0.1\ngamma = 5\n"
+                    "init_rho_base = 1e-300\ninit_b_base = 1e-200\ninit_m = 1e-301\n")
+    assert cli_main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("run aborted: DegenerateState: zero signal speed")
+
+
 def test_verify_reckless_cfl_fails_exit_1(tmp_path, capsys):
     path = tmp_path / "long.cfg"
     path.write_text(SMALL.replace("t_final = 0.05", "t_final = 1.0"))

@@ -65,6 +65,33 @@ def test_rejects_out_of_range_controls(kw):
         validate_params(SimulationParams(**kw))
 
 
+@pytest.mark.parametrize(
+    "kw, error, message",
+    [(dict(mu=-0.1), ViscosityInadmissible, "mu must be > 0, got mu=-0.1"),
+     (dict(lam=-1.0), ViscosityInadmissible, "lambda + 2*mu must be > 0"),
+     (dict(gamma=0.5), AdiabaticExponentInadmissible, "gamma must be >= 1, got 0.5"),
+     (dict(Gamma=2.0), GammaTooSmall, "Gamma must exceed max(4, gamma)"),
+     (dict(nx=2), ValidationError, "need at least 4 cells"),
+     (dict(cfl=-1.0), ValidationError, "cfl must be > 0, got -1.0"),
+     (dict(dt_max=0.0), ValidationError, "dt_max must be positive when given"),
+     (dict(advect_scheme="weno"), ValidationError, "unknown advect_scheme 'weno'")],
+)
+def test_replace_checks_the_new_values_when_it_builds_the_params(kw, error, message):
+    # run(), step() and stable_dt() take the params as given, so the type
+    # itself refuses an inadmissible value, by its named error
+    valid = SimulationParams(nx=12, ny=12, eps=1e-2, delta=1e-2)
+    with pytest.raises(ValidationError, match=re.escape(message)) as excinfo:
+        dataclasses.replace(valid, **kw)
+    assert excinfo.type is error
+
+
+def test_the_type_admits_any_positive_cfl_and_validate_params_adds_cfl_at_most_one():
+    # `--cfl 5.0` builds its params without validate_params, on purpose
+    reckless = SimulationParams(cfl=5.0)
+    with pytest.raises(ValidationError, match=re.escape("cfl must lie in (0, 1], got 5.0")):
+        validate_params(reckless)
+
+
 SIM_FLOAT_FIELDS = ("a", "gamma", "mu", "lam", "eps", "delta", "Gamma", "Lx", "Ly", "cfl",
                     "t_final", "dt_max")
 INIT_FLOAT_FIELDS = ("rho_base", "b_base", "rho_amp", "b_amp", "ratio_mid", "ratio_amp",

@@ -2,8 +2,10 @@
 on drawn grids (nx, ny in 4..16, Lx, Ly in [0.5, 2]) and drawn fields:
 summation by parts, conservative and monotone upwind transport, a
 positive viscous operator, and one step that conserves rho and b and
-keeps b/rho in its initial envelope.  The examples are derandomized
-(see conftest.py); the tolerances are those of the fixed-seed tests."""
+keeps b/rho in its initial envelope; and, on drawn physical parameters,
+that every SimulationParams that builds satisfies the paper's
+inequalities.  The examples are derandomized (see conftest.py); the
+tolerances are those of the fixed-seed tests."""
 
 import numpy as np
 from hypothesis import given
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mhd2d.core import Grid, InitialDataSpec, SimulationParams, init_state, ratio_bounds, validate_params
+from mhd2d.errors import ValidationError
 from mhd2d.operators import (
     FaceField,
     divergence_face_to_cc,
@@ -99,3 +102,15 @@ def test_upwind_step_conserves_rho_and_b_and_keeps_the_envelope(g, data):
     rmin, rmax = ratio_bounds(s1)
     assert rmin >= env.c_star - 1e-11
     assert rmax <= env.c_upper + 1e-11
+
+
+@given(st.floats(-0.1, 1.0), st.floats(-0.5, 1.0), st.floats(0.5, 6.0), st.floats(1.0, 10.0),
+       st.sampled_from([0.0, 1e-2]) | st.floats(-0.01, 0.1))
+def test_built_params_satisfy_the_papers_inequalities(mu, lam, gamma, Gamma, delta):
+    try:
+        p = SimulationParams(mu=mu, lam=lam, gamma=gamma, Gamma=Gamma, delta=delta)
+    except ValidationError:
+        return
+    assert p.mu > 0.0 and p.lam + 2.0 * p.mu > 0.0 and p.gamma >= 1.0
+    assert p.delta >= 0.0 and p.Gamma > 1.0
+    assert p.delta == 0.0 or p.Gamma > max(4.0, p.gamma)

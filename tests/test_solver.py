@@ -130,12 +130,11 @@ def test_stable_dt_nan_velocity_face_names_field(field):
 
 
 @pytest.mark.parametrize("cfl", [np.nan, np.inf])
-def test_stable_dt_names_a_non_finite_cfl_when_every_field_is_finite(cfl):
-    # an unvalidated cfl used to end in "non-finite values in " and an empty list
+def test_a_non_finite_cfl_is_named_when_the_params_are_built(cfl):
+    # a NaN fails no bound test, and stable_dt would name no non-finite field
     p = params(nx=12, ny=12)
-    g = build_grid(p)
     with pytest.raises(ValidationError, match=f"^cfl must be finite, got {cfl}$"):
-        stable_dt(constant_state(g), replace(p, cfl=cfl), g)
+        replace(p, cfl=cfl)
 
 
 @pytest.mark.parametrize("speed", [1e100, 1e300])
@@ -646,7 +645,7 @@ def test_step_conserves_mass_and_envelope():
 
 def test_step_positivity_loss_on_reckless_cfl():
     cfg = small_config()
-    reckless = replace(cfg.params, cfl=5.0)  # deliberately skip validation
+    reckless = replace(cfg.params, cfl=5.0)  # validate_params would reject cfl > 1
     g = build_grid(reckless)
     s, _ = init_state(g, cfg.init)
     with pytest.raises(PositivityLoss):
@@ -808,6 +807,24 @@ def test_run_gamma_one_metadata_flag():
     cfg = small_config(gamma=1.0, t_final=0.0)
     _, series = run(cfg)
     assert "isothermal" in series.metadata["elastic_energy"]
+
+
+def test_isothermal_run_keeps_the_energy_inequality_and_the_invariants():
+    # gamma = 1 is the endpoint of the paper's gamma >= 1, run past t = 0
+    p = params(nx=16, ny=16, gamma=1.0, eps=1e-2, delta=1e-2, t_final=0.05)
+    spec = InitialDataSpec(kind="ratio-profile", rho_amp=0.1, ratio_mid=1.25, ratio_amp=0.5, u_amp=0.3)
+    _, env = init_state(build_grid(p), spec)
+    _, series = run(Config(params=p, init=spec, record_interval=1))
+    assert series.metadata["elastic_energy"] == "isothermal(rho*log rho)"
+    assert len(series.records) > 2
+    assert np.all(np.diff(series.column("energy")) <= 0.0)
+    f = series.column("F_convex")
+    assert np.all(np.diff(f) <= 1e-8 * f[0])
+    for name in ("mass_rho", "mass_b"):
+        mass = series.column(name)
+        assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
+    assert series.column("ratio_min").min() >= env.c_star - 1e-10
+    assert series.column("ratio_max").max() <= env.c_upper + 1e-10
 
 
 @pytest.mark.parametrize("defect", ["shape", "no-slip"])

@@ -47,5 +47,11 @@ def test_every_public_name_of_a_submodule_is_used_or_exported():
     assert dead == [], "public names used nowhere else in src/ and not exported by mhd2d"
 
 
+RULE_MESSAGES = ("at least 4 cells", "mu must be > 0, got mu=", "lambda + 2*mu must be > 0",
+                 "gamma must be >= 1", "Gamma must exceed max(4, gamma)", "cfl must lie in (0, 1]")
+
+
 def test_the_cell_count_rule_is_written_once():
-    assert sum(text.count("at least 4 cells") for text in TEXTS.values()) == 1
+    # and so is each admissibility rule of the parameters
+    counts = {m: sum(text.count(m) for text in TEXTS.values()) for m in RULE_MESSAGES}
+    assert counts == dict.fromkeys(RULE_MESSAGES, 1)
