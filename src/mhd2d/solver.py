@@ -40,6 +40,15 @@ Jacobi, z = r/jacobi; no two of them are live at once.  The Jacobi CG
 takes r.r only where it might end the loop: when j_min*(r.z) no longer
 exceeds 4*(tol*|b|)^2, when r.z is not finite and at the iteration cap.
 Until then an iteration costs two dot products, not three.
+
+Passes per iteration: in numpy a viscous iteration makes about 34 passes
+over (parts of) its vectors, one per ufunc call.  When the compiled
+kernels of _kernels load, it makes five: the matvec, the update (x, r and
+z in one loop) and the direction, each one loop in C, plus the two dots,
+which stay numpy's.  The kernels use the buffers above, and the scratch
+then holds only z.  Each kernel does every element's operations in the
+order of its numpy twin, so both paths give the same bits; the numpy
+code runs whenever the kernels cannot be built, loaded or checked.
 """
 
 from __future__ import annotations
@@ -174,12 +183,33 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _cg(name, matvec, b, x, tol, max_iter, jacobi=None):
+def _cg_update(x, r, p, ap, s, jacobi, alpha):
+    """x += alpha*p and r -= alpha*Ap through the scratch `s`, then, with
+    `jacobi`, z = r/jacobi into `s`."""
+    np.multiply(p, alpha, out=s)
+    x += s
+    np.multiply(ap, alpha, out=s)
+    r -= s
+    if jacobi is not None:
+        np.divide(r, jacobi, out=s)
+
+
+def _cg_direction(p, z, beta):
+    """p = beta*p + z."""
+    p *= beta
+    p += z
+
+
+def _cg(name, matvec, b, x, tol, max_iter, jacobi=None, operator=None):
     """Conjugate gradients for matvec(x) = b, in place on the flat vector x.
 
     `matvec(v, out, s)` writes A v into `out` and may overwrite the scratch
-    vector `s`.  With `jacobi` the residual is preconditioned by that
-    diagonal, otherwise z = r (plain CG).  `b` is overwritten by the
+    vector `s`.  `operator`, when given, holds the arguments after the
+    library of the compiled twin of `matvec`, _kernels.bind_viscous or
+    bind_diffusion as `name` says; if the kernels load, the matvec, the
+    update and the direction run compiled, with the same bits, and
+    otherwise in numpy.  With `jacobi` the residual is preconditioned by
+    that diagonal, otherwise z = r (plain CG).  `b` is overwritten by the
     residual r = b - A x once its norm is taken.  Besides `x` and `b` the
     solve holds three vectors: p, A p and the scratch, which carries the
     matvec temporaries, alpha*p, alpha*Ap and z = r/jacobi in turn.  The
@@ -196,15 +226,33 @@ def _cg(name, matvec, b, x, tol, max_iter, jacobi=None):
         return 0
 
     r = b
-    s = np.empty_like(b)
-    ap = np.empty_like(b)
-    matvec(x, ap, s)
+    s, ap, p = (np.empty_like(b) for _ in range(3))
+    z = r if jacobi is None else s
+    lib = None
+    if operator is not None:
+        from . import _kernels  # at the first solve, not at import
+
+        lib = _kernels.load()
+    if lib is None:
+        def apply(v):
+            matvec(v, ap, s)
+
+        def update(alpha):
+            _cg_update(x, r, p, ap, s, jacobi, alpha)
+
+        def direction(beta):
+            _cg_direction(p, z, beta)
+    else:
+        bind = {"viscous": _kernels.bind_viscous, "diffusion": _kernels.bind_diffusion}[name]
+        apply, update, direction = _kernels.bind_cg(lib, bind(lib, *operator), x, r, p, ap, z,
+                                                    jacobi)
+    apply(x)
     np.subtract(b, ap, out=r)
     if jacobi is None:
-        p = r.copy()
+        np.copyto(p, r)
         rz = _dot(r, r)
     else:
-        p = r / jacobi
+        np.divide(r, jacobi, out=p)
         rz = _dot(r, p)
         # jmin*(r.z) <= r.r <= jmax*(r.z) for a positive diagonal: while the
         # lower bound stays 2x above the tolerance and the upper one far
@@ -226,24 +274,15 @@ def _cg(name, matvec, b, x, tol, max_iter, jacobi=None):
                 raise LinearSolveDivergence(
                     f"{name} CG stalled after {it} iterations, residual {res / bnorm:.3e}"
                 )
-        matvec(p, ap, s)
+        apply(p)
         pap = _dot(p, ap)
         if not pap > 0.0:
             raise LinearSolveDivergence(
                 f"{name} CG breakdown at iteration {it}: p.Ap = {pap:.3e} is not positive"
             )
-        alpha = rz / pap
-        np.multiply(p, alpha, out=s)
-        x += s
-        np.multiply(ap, alpha, out=s)
-        r -= s
-        if jacobi is None:
-            z = r
-        else:
-            z = np.divide(r, jacobi, out=s)
+        update(rz / pap)
         rz_new = _dot(r, z)
-        p *= rz_new / rz
-        p += z
+        direction(rz_new / rz)
         rz = rz_new
         it += 1
 
@@ -310,7 +349,7 @@ def _diffusion_solve_counted(grid, q, coef, dt):
     b, diag = b.ravel(), diag.ravel()
     x = b.copy()
     it = _cg("diffusion", lambda v, out, s: _diffusion_matvec(grid, diag, cx, cy, v, out, s),
-             b, x, 1e-12, 10 * (nx + ny))
+             b, x, 1e-12, 10 * (nx + ny), operator=(grid, diag, cx, cy))
 
     x = x.reshape(nx, ny + 1)[:, :ny].copy()
     # the matrix has unit column sums; pin the cell sum to the exact value
@@ -458,7 +497,7 @@ def _viscous_solve(grid, rfx, rfy, mx, my, dt, mu, lam, guess):
     it = _cg(
         "viscous",
         lambda v, out, s: _viscous_matvec(grid, centre, dt, mu, lam, v, out, (s, div)),
-        b, x, 1e-10, max_iter, jacobi,
+        b, x, 1e-10, max_iter, jacobi, operator=(grid, centre, div, dt, mu, lam),
     )
     xx, xy = _faces(x, grid)
     ux, uy = xx[:, :-1].copy(), xy.copy()
