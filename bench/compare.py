@@ -16,9 +16,11 @@ For each workload the script writes `BENCH_<workload>.json` at the root
 of the working tree: every run's metrics, and for each end-to-end metric
 of BENCHMARK.json the median, Q1 and Q3 of each side (quartiles by
 `statistics.quantiles(..., method="inclusive")`), the number of pairs the
-change wins (ties count for neither side) and whether the claim rule
-holds: wins in at least nine tenths of the pairs and a gap between the
-medians wider than the parent's Q3 - Q1.  The file also records the
+change wins (ties count for neither side), whether the claim rule
+holds (wins in at least nine tenths of the pairs and a gap between the
+medians wider than the parent's Q3 - Q1) and whether the change stays
+within the metric's bound (its median no worse than the parent's by more
+than the fraction `bound` of it).  The file also records the
 seeds, the order of each pair, both revisions and the machine.
 """
 
@@ -98,12 +100,14 @@ def _summary(pairs: list[dict], spec: dict) -> dict:
         losses = sum((b > a) if lower else (b < a) for a, b in both)
         ps, cs = _quartiles(par), _quartiles(chg)
         gain = (ps["median"] - cs["median"]) if lower else (cs["median"] - ps["median"])
+        ratio = cs["median"] / ps["median"]
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"], "pairs": len(both),
             "parent": ps, "change": cs,
             "change_wins": wins, "change_losses": losses,
-            "median_ratio": cs["median"] / ps["median"],
+            "median_ratio": ratio,
             "claim_rule_holds": wins >= 0.9 * len(both) and gain > ps["q3"] - ps["q1"],
+            "within_bound": ratio <= 1.0 + m["bound"] if lower else ratio >= 1.0 - m["bound"],
         }
     return out
 

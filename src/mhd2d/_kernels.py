@@ -5,8 +5,9 @@ solves run their numpy code, and both give the same bits.  The library
 is built once per machine and source into the user cache,
 `$XDG_CACHE_HOME/mhd2d` or else `~/.cache/mhd2d`, under a name that
 hashes the C source, the compiler command and the machine type, and it
-is loaded only after each kernel has reproduced its numpy twin to the
-last bit on random data.  None records what was observed: no C compiler,
+is loaded only after each operator's CG steps, bound by bind_cg as the
+solves bind them, have reproduced their numpy twins to the last bit on
+random data.  None records what was observed: no C compiler,
 a failed compile, an unwritable cache or no home directory to hold it,
 a library that ctypes cannot load
 or a kernel that differs from its twin.  The solver imports this module
@@ -113,96 +114,76 @@ def _addresses(n, *vectors):
     return [v.ctypes.data for v in vectors]
 
 
-def bind_diffusion(lib, grid, diag, cx, cy):
-    """The compiled twin of solver._diffusion_matvec for one solve: a
-    function of the addresses of v and out."""
-    (d,) = _addresses(grid.nx * (grid.ny + 1), diag)
-
-    def matvec(v, out):
-        lib.diffusion_matvec(d, grid.nx, grid.ny, cx, cy, v, out)
-
-    matvec.buffers = diag  # alive as long as its address is in use
-    return matvec
-
-
-def bind_viscous(lib, grid, centre, div, dt, mu, lam):
-    """The compiled twin of solver._viscous_matvec for one solve: a
-    function of the addresses of u and out.  `div` is a cell-vector
-    scratch."""
-    (c,) = _addresses((2 * grid.nx + 1) * (grid.ny + 1), centre)
-    (d,) = _addresses(grid.nx * (grid.ny + 1), div)
-    # the factors as _viscous_matvec computes them, so the same doubles
-    args = (c, d, grid.nx, grid.ny, 1.0 / grid.hx, 1.0 / grid.hy,
-            dt * mu / grid.hx ** 2, dt * mu / grid.hy ** 2,
-            dt * (mu + lam) / grid.hx, dt * (mu + lam) / grid.hy)
-
-    def matvec(u, out):
-        lib.viscous_matvec(*args, u, out)
-
-    matvec.buffers = centre, div  # alive as long as their addresses are in use
-    return matvec
-
-
-def bind_cg(lib, matvec, x, r, p, ap, z, jacobi):
+def bind_cg(lib, name, operator, x, r, p, ap, z, jacobi):
     """The compiled steps of solver._cg on its buffers: (apply, update,
-    direction).  apply(v) writes A v into ap for v = x or p through the
-    bound `matvec`; update(alpha) and direction(beta) are the twins of
-    solver._cg_update and _cg_direction.  The caller keeps the vectors."""
+    direction).  apply(v) writes A v into ap for v = x or p by
+    lib.<name>_matvec on `operator`, the arguments before the vectors of
+    its numpy twin: the diagonal, of the vectors' size, and any cell-vector
+    scratch, then nx, ny and the scalars.  update(alpha) and
+    direction(beta) are the twins of solver._cg_update and _cg_direction.
+    The caller keeps the vectors and the operator's arrays alive."""
     n = x.size
     xa, ra, pa, apa, za = _addresses(n, x, r, p, ap, z)
     ja = None if jacobi is None else _addresses(n, jacobi)[0]
+    k = next(i for i, a in enumerate(operator) if not isinstance(a, np.ndarray))
+    nx, ny = operator[k:k + 2]
+    args = (*_addresses(n, operator[0]), *_addresses(nx * (ny + 1), *operator[1:k]),
+            *operator[k:])
+    matvec, cg_update, cg_direction = (getattr(lib, f"{name}_matvec"), lib.cg_update,
+                                       lib.cg_direction)
 
     def apply(v):
-        matvec(pa if v is p else xa, apa)
+        matvec(*args, pa if v is p else xa, apa)
 
     def update(alpha):
-        lib.cg_update(n, xa, ra, pa, apa, za, ja, alpha)
+        cg_update(n, xa, ra, pa, apa, za, ja, alpha)
 
     def direction(beta):
-        lib.cg_direction(n, pa, za, beta)
+        cg_direction(n, pa, za, beta)
 
     return apply, update, direction
 
 
 def _matches_numpy(lib) -> bool:
-    """Each kernel against its numpy twin in solver, on random data (walls,
-    ghosts and signed zeros included) on a small non-square grid, compared
+    """Each operator's CG steps, through bind_cg, against their numpy twins
+    in solver, on random data (walls, ghosts and signed zeros included) on
+    a small non-square grid, with and without a Jacobi diagonal, compared
     by their bytes."""
-    from .core import Grid
-    from .solver import _cg_direction, _cg_update, _diffusion_matvec, _viscous_matvec
+    from .solver import _MATVECS, _cg_direction, _cg_update
 
-    grid = Grid(5, 7, 1.3, 0.7)
-    nc, nf = grid.nx * (grid.ny + 1), (2 * grid.nx + 1) * (grid.ny + 1)
+    nx, ny = 5, 7
+    nc, nf = nx * (ny + 1), (2 * nx + 1) * (ny + 1)
     rng = random.Random(2024)  # not numpy.random, which would cost 5 MB to load
 
     def normal(k, n):
         return np.array([rng.gauss(0.0, 1.0) for _ in range(k * n)]).reshape(k, n)
 
-    dt, mu, lam, cx, cy, alpha, beta = (rng.random() for _ in range(7))
+    def scalars(k):
+        return [rng.random() for _ in range(k)]
 
-    # each output starts as different junk on the two paths
-    v, diag, a, b = normal(4, nc)
-    _diffusion_matvec(grid, diag, cx, cy, v, a, np.empty(nc))
-    bind_diffusion(lib, grid, diag, cx, cy)(v.ctypes.data, b.ctypes.data)
-    same = a.tobytes() == b.tobytes()
-
-    u, centre, a, b = normal(4, nf)
-    u[::3] *= 0.0  # zeros of both signs
-    div = np.empty(nc)
-    _viscous_matvec(grid, centre, dt, mu, lam, u, a, (np.empty(nf), div))
-    bind_viscous(lib, grid, centre, div, dt, mu, lam)(u.ctypes.data, b.ctypes.data)
-    same = same and a.tobytes() == b.tobytes()
-
-    for jacobi in (normal(1, nf)[0], None):
-        x, r, p, ap, s = normal(5, nf)
-        twin = [v.copy() for v in (x, r, p, ap, s)]
-        # z is r in plain CG; with jacobi it is the scratch s
-        z, tz = (r, twin[1]) if jacobi is None else (s, twin[4])
-        _cg_update(x, r, p, ap, s, jacobi, alpha)
-        _cg_direction(p, z, beta)
-        _, update, direction = bind_cg(lib, None, *twin[:4], tz, jacobi)
-        update(alpha)
-        direction(beta)
-        outs = zip((x, r, p, z), (*twin[:3], tz))
-        same = same and all(a.tobytes() == b.tobytes() for a, b in outs)
+    operators = {"diffusion": (nc, (*normal(1, nc), nx, ny, *scalars(2))),
+                 "viscous": (nf, (*normal(1, nf), np.empty(nc), nx, ny, *scalars(6)))}
+    alpha, beta = scalars(2)
+    same = True
+    for name, (n, operator) in operators.items():
+        for jacobi in (normal(1, n)[0], None):
+            # each vector starts as the same junk on the two paths
+            x, r, p, ap, s = normal(5, n)
+            x[::3] *= 0.0  # zeros of both signs
+            twin = [v.copy() for v in (x, r, p, ap, s)]
+            # z is r in plain CG; with jacobi it is the scratch s
+            z, tz = (r, twin[1]) if jacobi is None else (s, twin[4])
+            apply, update, direction = bind_cg(lib, name, operator, *twin[:4], tz, jacobi)
+            # the steps of one CG iteration, in _cg's order, on both paths
+            _MATVECS[name](*operator, x, ap, s)
+            apply(twin[0])
+            same = same and ap.tobytes() == twin[3].tobytes()
+            _MATVECS[name](*operator, p, ap, s)
+            _cg_update(x, r, p, ap, s, jacobi, alpha)
+            _cg_direction(p, z, beta)
+            apply(twin[2])
+            update(alpha)
+            direction(beta)
+            outs = zip((x, r, p, ap, z), (*twin[:4], tz))
+            same = same and all(a.tobytes() == b.tobytes() for a, b in outs)
     return same

@@ -6,9 +6,10 @@ violated invariant), 2 usage/config errors.
 
 MHD2D_OUTPUT_DIR overrides the config's output_dir; --output-dir
 overrides both.  --cfl replaces the Courant number *after* validation:
-SimulationParams admits any finite positive cfl, and --cfl skips the
-cfl <= 1 bound that validate_params adds, so `verify --cfl 5.0` can
-demonstrate how the invariant suite catches an unstable run.
+SimulationParams admits any finite positive cfl, and only `run` and
+`verify` skip the cfl <= 1 bound that validate_params adds, so
+`verify --cfl 5.0` can demonstrate how the invariant suite catches an
+unstable run; `mms` and the sweeps reject cfl > 1 as a config error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import Config, parse_config_file
-from .core import build_grid, init_state
+from .core import build_grid, init_state, validate_params
 from .errors import FormatError, Mhd2dError, ParseError, ValidationError
 from .solver import run
 from .storage import read_snapshot, snapshot_header
@@ -52,24 +53,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to a key = value config file")
         p.add_argument("--output-dir", default=None)
         p.add_argument("--cfl", type=float, default=None,
-                       help="Courant number override, finite and > 0; skips validate_params' cfl <= 1")
+                       help="Courant number override, finite and > 0; "
+                            "run and verify skip validate_params' cfl <= 1")
 
     p_run = sub.add_parser("run", help="integrate a config and write outputs")
     add_common(p_run)
 
     p_mms = sub.add_parser("mms", help="manufactured-solution order study")
     add_common(p_mms)
-    p_mms.add_argument("--resolutions", default="32,64,128")
+    p_mms.add_argument("--resolutions", type=_list_of(int), default="32,64,128")
     p_mms.add_argument("--dt-max-coeff", type=float, default=None,
                        help="cap dt at coeff*h^2 per resolution (second-order studies)")
 
     p_se = sub.add_parser("sweep-eps", help="eps -> 0 limit experiment")
     add_common(p_se)
-    p_se.add_argument("--eps-list", default=None, help="comma floats, strictly decreasing")
+    p_se.add_argument("--eps-list", type=_list_of(float), default=None,
+                      help="comma floats, strictly decreasing")
 
     p_sd = sub.add_parser("sweep-delta", help="delta -> 0 limit experiment")
     add_common(p_sd)
-    p_sd.add_argument("--delta-list", default=None)
+    p_sd.add_argument("--delta-list", type=_list_of(float), default=None)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite, print PASS/FAIL lines")
     add_common(p_ver)
@@ -77,6 +80,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ins = sub.add_parser("inspect", help="print snapshot header and field stats")
     p_ins.add_argument("snapshot")
     return ap
+
+
+def _list_of(kind):
+    """An argparse type: comma-separated values of `kind`."""
+
+    def parse(raw: str):
+        return [kind(s) for s in raw.split(",")]
+
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's error names it
+    return parse
 
 
 def _resolve_output_dir(config: Config, cli_value) -> str:
@@ -94,6 +107,8 @@ def _load(args) -> Config:
         if not 0.0 < args.cfl < math.inf:
             raise ValidationError(f"--cfl must be finite and positive, got {args.cfl}")
         config = replace(config, params=replace(config.params, cfl=args.cfl))
+        if args.command not in ("run", "verify"):
+            validate_params(config.params)
     return config
 
 
@@ -142,7 +157,7 @@ def _cmd_run(config: Config, outdir: str) -> int:
 
 
 def _cmd_mms(config: Config, args, outdir: str) -> int:
-    resolutions = tuple(int(s) for s in args.resolutions.split(","))
+    resolutions = tuple(args.resolutions)
     ms = default_manufactured_solution(config.params.Lx, config.params.Ly)
     rep = run_mms(config, ms, resolutions=resolutions, dt_max_coeff=args.dt_max_coeff)
     _report(rep, outdir, f"{config.run_id}_mms.csv")
@@ -158,16 +173,12 @@ def _report(rep, outdir: str, filename: str) -> None:
     print(f"wrote {path}")
 
 
-def _parse_list(raw: str):
-    return [float(s) for s in raw.split(",")]
-
-
 def _cmd_sweep(config: Config, args, outdir: str, which: str) -> int:
     if which == "eps":
-        values = _parse_list(args.eps_list) if args.eps_list else [1e-2 * 2.0 ** -k for k in range(5)]
+        values = args.eps_list or [1e-2 * 2.0 ** -k for k in range(5)]
         rep = epsilon_sweep(config, values)
     else:
-        values = _parse_list(args.delta_list) if args.delta_list else [1e-1 * 4.0 ** -k for k in range(5)]
+        values = args.delta_list or [1e-1 * 4.0 ** -k for k in range(5)]
         rep = delta_sweep(config, values)
     _report(rep, outdir, f"{config.run_id}_sweep_{which}.csv")
     failed = [row for row in rep.rows if not row.get("ok", True)]

@@ -48,7 +48,9 @@ z in one loop) and the direction, each one loop in C, plus the two dots,
 which stay numpy's.  The kernels use the buffers above, and the scratch
 then holds only z.  Each kernel does every element's operations in the
 order of its numpy twin, so both paths give the same bits; the numpy
-code runs whenever the kernels cannot be built, loaded or checked.
+code runs whenever the kernels cannot be built, loaded or checked, and
+nothing else picks the path.  Both paths take each operator as the one
+argument tuple of its C kernel, made once per solve by its builder.
 """
 
 from __future__ import annotations
@@ -200,23 +202,22 @@ def _cg_direction(p, z, beta):
     p += z
 
 
-def _cg(name, matvec, b, x, tol, max_iter, jacobi=None, operator=None):
-    """Conjugate gradients for matvec(x) = b, in place on the flat vector x.
+def _cg(name, operator, b, x, tol, max_iter, jacobi=None):
+    """Conjugate gradients for A x = b, in place on the flat vector x.
 
-    `matvec(v, out, s)` writes A v into `out` and may overwrite the scratch
-    vector `s`.  `operator`, when given, holds the arguments after the
-    library of the compiled twin of `matvec`, _kernels.bind_viscous or
-    bind_diffusion as `name` says; if the kernels load, the matvec, the
-    update and the direction run compiled, with the same bits, and
-    otherwise in numpy.  With `jacobi` the residual is preconditioned by
-    that diagonal, otherwise z = r (plain CG).  `b` is overwritten by the
-    residual r = b - A x once its norm is taken.  Besides `x` and `b` the
-    solve holds three vectors: p, A p and the scratch, which carries the
-    matvec temporaries, alpha*p, alpha*Ap and z = r/jacobi in turn.  The
-    loop allocates nothing.  Returns the iteration count; raises
-    LinearSolveDivergence, naming the solve, when the right-hand side or
-    the residual is not finite, on breakdown (p.Ap <= 0) and after
-    `max_iter` iterations.
+    A is the `name` operator ("viscous" or "diffusion") with the arguments
+    `operator`, the tuple its builder makes: A v is
+    _MATVECS[name](*operator, v, out, s), which may overwrite the scratch
+    vector `s`, or, when _kernels.load() gives the library, its compiled
+    twin, which gives the same bits.  With `jacobi` the residual is
+    preconditioned by that diagonal, otherwise z = r (plain CG).  `b` is
+    overwritten by the residual r = b - A x once its norm is taken.
+    Besides `x` and `b` the solve holds three vectors: p, A p and the
+    scratch, which carries the matvec temporaries, alpha*p, alpha*Ap and
+    z = r/jacobi in turn.  The loop allocates nothing.  Returns the
+    iteration count; raises LinearSolveDivergence, naming the solve, when
+    the right-hand side or the residual is not finite, on breakdown
+    (p.Ap <= 0) and after `max_iter` iterations.
     """
     bnorm = math.sqrt(_dot(b, b))
     if not math.isfinite(bnorm):
@@ -228,14 +229,14 @@ def _cg(name, matvec, b, x, tol, max_iter, jacobi=None, operator=None):
     r = b
     s, ap, p = (np.empty_like(b) for _ in range(3))
     z = r if jacobi is None else s
-    lib = None
-    if operator is not None:
-        from . import _kernels  # at the first solve, not at import
+    from . import _kernels  # at the first solve, not at import
 
-        lib = _kernels.load()
+    lib = _kernels.load()
     if lib is None:
+        matvec = _MATVECS[name]
+
         def apply(v):
-            matvec(v, ap, s)
+            matvec(*operator, v, ap, s)
 
         def update(alpha):
             _cg_update(x, r, p, ap, s, jacobi, alpha)
@@ -243,9 +244,7 @@ def _cg(name, matvec, b, x, tol, max_iter, jacobi=None, operator=None):
         def direction(beta):
             _cg_direction(p, z, beta)
     else:
-        bind = {"viscous": _kernels.bind_viscous, "diffusion": _kernels.bind_diffusion}[name]
-        apply, update, direction = _kernels.bind_cg(lib, bind(lib, *operator), x, r, p, ap, z,
-                                                    jacobi)
+        apply, update, direction = _kernels.bind_cg(lib, name, operator, x, r, p, ap, z, jacobi)
     apply(x)
     np.subtract(b, ap, out=r)
     if jacobi is None:
@@ -305,33 +304,10 @@ def implicit_diffusion_solve(grid: Grid, q: np.ndarray, coef: float, dt: float) 
     return x
 
 
-def _diffusion_matvec(grid, diag, cx, cy, v, out, s):
-    """out = (I - c*Lap) v on flat cell vectors, 5-point stencil.
-
-    Cells are stored in rows of ny+1 with the last column a ghost held at
-    zero, so every neighbour is a contiguous shift of the flat vector.
-    `diag` carries the centre coefficient with the mirror-ghost wall
-    closure folded in (zero on the ghosts); cx, cy are c/hx^2, c/hy^2.
-    The scratch vector `s` holds v*cx, then v*cy.
-    """
-    L = grid.ny + 1
-    np.multiply(diag, v, out=out)
-    np.multiply(v, cx, out=s)
-    out[L:] -= s[:-L]
-    out[:-L] -= s[L:]
-    np.multiply(v, cy, out=s)
-    out[1:] -= s[:-1]
-    out[:-1] -= s[1:]
-    out.reshape(grid.nx, L)[:, -1] = 0.0
-
-
-def _diffusion_solve_counted(grid, q, coef, dt):
-    c = coef * dt
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ValidationError(f"diffusion solve needs a finite coef*dt >= 0, got {c}")
-    if c == 0.0:
-        return q.copy(), 0
-
+def _diffusion_operator(grid, c):
+    """(diag, nx, ny, cx, cy), the arguments of _diffusion_matvec for
+    I - c*Lap: `diag` is the flat centre coefficient with the mirror-ghost
+    wall closure folded in (zero on the ghosts), cx, cy are c/h^2."""
     nx, ny = grid.nx, grid.ny
     cx, cy = c / grid.hx ** 2, c / grid.hy ** 2
     diag = np.empty((nx, ny + 1))
@@ -343,13 +319,41 @@ def _diffusion_solve_counted(grid, q, coef, dt):
     d[-1, :] -= cx
     d[:, 0] -= cy
     d[:, -1] -= cy
-    b = np.empty((nx, ny + 1))
+    return diag.ravel(), nx, ny, cx, cy
+
+
+def _diffusion_matvec(diag, nx, ny, cx, cy, v, out, s):
+    """out = (I - c*Lap) v on flat cell vectors, 5-point stencil.
+
+    Cells are stored in rows of ny+1 with the last column a ghost held at
+    zero, so every neighbour is a contiguous shift of the flat vector.
+    The arguments before `v` come from _diffusion_operator.  The scratch
+    vector `s` holds v*cx, then v*cy.
+    """
+    L = ny + 1
+    np.multiply(diag, v, out=out)
+    np.multiply(v, cx, out=s)
+    out[L:] -= s[:-L]
+    out[:-L] -= s[L:]
+    np.multiply(v, cy, out=s)
+    out[1:] -= s[:-1]
+    out[:-1] -= s[1:]
+    out.reshape(nx, L)[:, -1] = 0.0
+
+
+def _diffusion_solve_counted(grid, q, coef, dt):
+    c = coef * dt
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValidationError(f"diffusion solve needs a finite coef*dt >= 0, got {c}")
+    if c == 0.0:
+        return q.copy(), 0
+
+    nx, ny = grid.nx, grid.ny
+    b = np.zeros((nx, ny + 1))
     b[:, :ny] = q
-    b[:, ny] = 0.0
-    b, diag = b.ravel(), diag.ravel()
+    b = b.ravel()
     x = b.copy()
-    it = _cg("diffusion", lambda v, out, s: _diffusion_matvec(grid, diag, cx, cy, v, out, s),
-             b, x, 1e-12, 10 * (nx + ny), operator=(grid, diag, cx, cy))
+    it = _cg("diffusion", _diffusion_operator(grid, c), b, x, 1e-12, 10 * (nx + ny))
 
     x = x.reshape(nx, ny + 1)[:, :ny].copy()
     # the matrix has unit column sums; pin the cell sum to the exact value
@@ -383,16 +387,20 @@ def _face_vector(grid, ux, uy):
     return v
 
 
-def _viscous_diagonals(grid, rfx, rfy, dt, mu, lam):
-    """Flat diagonals of the viscous operator: (centre, jacobi).
+def _viscous_operator(grid, rfx, rfy, dt, mu, lam):
+    """The arguments of _viscous_matvec before its vectors, and the
+    Jacobi diagonal: ((centre, div, nx, ny, ihx, ihy, cxs, cys, gxs, gys),
+    jacobi).
 
     `centre` is the diagonal of rho_f*I - dt*mu*Lap_noslip, with the
     sign-flip ghost of the tangential walls folded in; it is zero on the
     pinned wall-normal faces and the ghosts, so the matvec leaves them
-    zero.  `jacobi` adds the grad-div centre dt*(mu+lam)*2/h^2, giving the
-    diagonal of the whole operator; it is 1 on the pinned faces and the
-    ghosts, where the residual is held at zero.  Both are rows of one
-    buffer, written in place.
+    zero.  `div` is a cell-vector scratch for div u.  ihx, ihy are 1/h,
+    cxs, cys dt*mu/h^2 and gxs, gys dt*(mu+lam)/h.  `jacobi` adds the
+    grad-div centre dt*(mu+lam)*2/h^2, giving the diagonal of the whole
+    operator; it is 1 on the pinned faces and the ghosts, where the
+    residual is held at zero.  Both diagonals are rows of one buffer,
+    written in place.
     """
     hx2, hy2 = grid.hx ** 2, grid.hy ** 2
     cx, cy = dt * mu / hx2, dt * mu / hy2
@@ -413,27 +421,26 @@ def _viscous_diagonals(grid, rfx, rfy, dt, mu, lam):
     jy[:, 1:-1] += dt * (mu + lam) * 2.0 / hy2
     jx[0, :] = jx[-1, :] = jx[:, -1] = 1.0
     jy[:, 0] = jy[:, -1] = 1.0
-    return centre, jacobi
+    div = np.empty(grid.nx * (grid.ny + 1))
+    return (centre, div, grid.nx, grid.ny, 1.0 / grid.hx, 1.0 / grid.hy, cx, cy,
+            dt * (mu + lam) / grid.hx, dt * (mu + lam) / grid.hy), jacobi
 
 
-def _viscous_matvec(grid, centre, dt, mu, lam, u, out, work):
-    """rho_f*u - dt*(mu*Lap_noslip(u) + (mu+lam)*grad(div u)), fused.
+def _viscous_matvec(centre, div, nx, ny, ihx, ihy, cxs, cys, gxs, gys, u, out, s):
+    """out = rho_f*u - dt*(mu*Lap_noslip(u) + (mu+lam)*grad(div u)), fused.
 
-    `u` and `out` are flat face vectors (see _face_vector), `centre`
-    comes from _viscous_diagonals.  div u is formed once; every term is
-    a contiguous in-place update of `out`.  `work` is (scratch, div), a
-    face vector and a cell vector of rows ny+1; the scratch holds
-    u*mu*dt/hx^2, then u*mu*dt/hy^2, then the grad-div term.  Equal, up
-    to round-off, to the componentwise 5-point Laplacian with
-    sign-flip tangential ghosts (see noslip_ghosts) plus
+    `u` and `out` are flat face vectors (see _face_vector); the arguments
+    before them come from _viscous_operator.  div u is formed once, in
+    `div`; every term is a contiguous in-place update of `out`.  The
+    scratch face vector `s` holds u*cxs, then u*cys, then the grad-div
+    term.  Equal, up to round-off, to the componentwise 5-point Laplacian
+    with sign-flip tangential ghosts (see noslip_ghosts) plus
     gradient_cc_to_face(divergence_face_to_cc(u)), the reference
     composition kept in the tests.  The wall-normal faces and ghosts of
-    `out` are zero.  Returns the (nx+1, ny) x-face and (nx, ny+1) y-face
-    views of `out`.
+    `out` are zero.
     """
-    s, div = work
-    L = grid.ny + 1
-    n = (grid.nx + 1) * L
+    L = ny + 1
+    n = (nx + 1) * L
     ux, uy, ox, oy = u[:n], u[n:], out[:n], out[n:]
     oi = ox[L:-L]  # interior x faces, rows 1..nx-1
     g = s[:div.size]  # cell-sized head of the scratch
@@ -441,10 +448,10 @@ def _viscous_matvec(grid, centre, dt, mu, lam, u, out, work):
     # div u on cells stored like y faces; the last column is junk that
     # only reaches outputs zeroed below
     np.subtract(ux[L:], ux[:-L], out=div)
-    div *= 1.0 / grid.hx
+    div *= ihx
     np.subtract(uy[1:], uy[:-1], out=g[:-1])
     g[-1] = 0.0
-    g *= 1.0 / grid.hy
+    g *= ihy
     div += g
 
     # each face sums its terms in one fixed order, which fixes the
@@ -453,29 +460,31 @@ def _viscous_matvec(grid, centre, dt, mu, lam, u, out, work):
     # -L, +L, -1, +1 on y faces, so the shifts stay per face block: one
     # shift of the whole vector would reorder one block's sums.
     np.multiply(centre, u, out=out)
-    np.multiply(u, dt * mu / grid.hx ** 2, out=s)
+    np.multiply(u, cxs, out=s)
     oi -= s[2 * L:n]
     oi -= s[:n - 2 * L]
     sy = s[n:]  # y-face block of the scratch
     oy[L:] -= sy[:-L]
     oy[:-L] -= sy[L:]
-    np.multiply(u, dt * mu / grid.hy ** 2, out=s)
+    np.multiply(u, cys, out=s)
     oi -= s[L + 1:n - L + 1]
     oi -= s[L - 1:n - L - 1]
     oy[1:] -= sy[:-1]
     oy[:-1] -= sy[1:]
 
-    np.multiply(div, dt * (mu + lam) / grid.hx, out=g)
+    np.multiply(div, gxs, out=g)
     oi -= g[L:]
     oi += g[:-L]
-    np.multiply(div, dt * (mu + lam) / grid.hy, out=g)
+    np.multiply(div, gys, out=g)
     oy[1:] -= g[1:]
     oy[1:] += g[:-1]
 
-    fx, fy = _faces(out, grid)
-    fx[:, -1] = 0.0
-    fy[:, ::grid.ny] = 0.0
-    return fx[:, :-1], fy
+    ox.reshape(nx + 1, L)[:, -1] = 0.0
+    oy.reshape(nx, L)[:, ::ny] = 0.0
+
+
+# the numpy twin of each operator's compiled matvec, by the solve's name
+_MATVECS = {"diffusion": _diffusion_matvec, "viscous": _viscous_matvec}
 
 
 def _viscous_solve(grid, rfx, rfy, mx, my, dt, mu, lam, guess):
@@ -487,18 +496,11 @@ def _viscous_solve(grid, rfx, rfy, mx, my, dt, mu, lam, guess):
     1e-10.  The wall-normal faces are pinned to zero.  Returns (ux, uy,
     iterations).
     """
-    max_iter = 10 * (grid.nx + grid.ny)
-    centre, jacobi = _viscous_diagonals(grid, rfx, rfy, dt, mu, lam)
-    div = np.empty(grid.nx * (grid.ny + 1))
-
+    operator, jacobi = _viscous_operator(grid, rfx, rfy, dt, mu, lam)
     b = _face_vector(grid, mx, my)
     pin_noslip(*_faces(b, grid))
     x = _face_vector(grid, *guess)
-    it = _cg(
-        "viscous",
-        lambda v, out, s: _viscous_matvec(grid, centre, dt, mu, lam, v, out, (s, div)),
-        b, x, 1e-10, max_iter, jacobi, operator=(grid, centre, div, dt, mu, lam),
-    )
+    it = _cg("viscous", operator, b, x, 1e-10, 10 * (grid.nx + grid.ny), jacobi)
     xx, xy = _faces(x, grid)
     ux, uy = xx[:, :-1].copy(), xy.copy()
     pin_noslip(ux, uy)

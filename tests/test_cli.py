@@ -121,6 +121,33 @@ def test_usage_error_exit_2():
     assert cli_main([]) == 2
 
 
+@pytest.mark.parametrize("command, option, value, kind", [
+    ("sweep-eps", "--eps-list", "0.02,abc", "float"),
+    ("mms", "--resolutions", "8,x", "int"),
+    ("sweep-delta", "--delta-list", ",", "float"),
+], ids=["eps-list", "resolutions", "delta-list"])
+def test_malformed_list_is_a_usage_error(small_cfg, tmp_path, capsys, command, option, value, kind):
+    out = tmp_path / "out"
+    assert cli_main([command, small_cfg, "--output-dir", str(out), option, value]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # argparse's usage, then one error line naming the option
+    assert err.splitlines()[-1] == (f"mhd2d {command}: error: argument {option}: "
+                                    f"invalid comma-separated {kind} value: {value!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mms", "sweep-eps", "sweep-delta"])
+def test_cfl_above_one_fails_up_front_outside_run_and_verify(small_cfg, tmp_path, capsys, command):
+    # the sweeps used to run every member into the bound and write an all-NaN CSV
+    out = tmp_path / "out"
+    assert cli_main([command, small_cfg, "--output-dir", str(out), "--cfl", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: cfl must lie in (0, 1], got 2.0\n"
+    assert not out.exists()
+
+
 def test_verify_constant_config_all_pass(tmp_path, capsys):
     path = tmp_path / "const.cfg"
     path.write_text(CONSTANT)

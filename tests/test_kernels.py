@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import mhd2d
 from mhd2d import _kernels
 from mhd2d.config import Config
-from mhd2d.core import Grid, InitialDataSpec, SimulationParams, build_grid, validate_params
+from mhd2d.core import InitialDataSpec, SimulationParams, build_grid, validate_params
 from mhd2d.errors import LinearSolveDivergence
 from mhd2d.operators import face_average_x, face_average_y
 from mhd2d.solver import (
@@ -26,9 +26,10 @@ from mhd2d.solver import (
     _cg_direction,
     _cg_update,
     _diffusion_matvec,
+    _diffusion_operator,
     _face_vector,
-    _viscous_diagonals,
     _viscous_matvec,
+    _viscous_operator,
     _viscous_solve,
     implicit_diffusion_solve,
     run,
@@ -91,17 +92,22 @@ def junk(rng, n):
 shapes = st.tuples(st.integers(4, 24), st.integers(4, 24), st.integers(0, 2 ** 32 - 1))
 
 
+def compiled_matvec(lib, name, operator, v, out):
+    """A v into `out` by the apply that bind_cg gives a solve."""
+    apply, _, _ = _kernels.bind_cg(lib, name, operator, v, *np.empty((2, v.size)), out,
+                                   np.empty(v.size), None)
+    apply(v)
+
+
 @given(shapes)
 def test_diffusion_matvec_kernel_is_bit_identical(lib, shape):
     nx, ny, seed = shape
     rng = np.random.default_rng(seed)
-    g = Grid(nx, ny, 0.5 + rng.random(), 0.5 + rng.random())
     n = nx * (ny + 1)
-    diag, v = junk(rng, n), junk(rng, n)
-    cx, cy = rng.random(2)
-    ref, out = junk(rng, n), junk(rng, n)
-    _diffusion_matvec(g, diag, cx, cy, v, ref, np.empty(n))
-    _kernels.bind_diffusion(lib, g, diag, cx, cy)(v.ctypes.data, out.ctypes.data)
+    operator = (junk(rng, n), nx, ny, *rng.random(2))
+    v, ref, out = junk(rng, n), junk(rng, n), junk(rng, n)
+    _diffusion_matvec(*operator, v, ref, np.empty(n))
+    compiled_matvec(lib, "diffusion", operator, v, out)
     assert out.tobytes() == ref.tobytes()
 
 
@@ -109,15 +115,46 @@ def test_diffusion_matvec_kernel_is_bit_identical(lib, shape):
 def test_viscous_matvec_kernel_is_bit_identical(lib, shape):
     nx, ny, seed = shape
     rng = np.random.default_rng(seed)
-    g = Grid(nx, ny, 0.5 + rng.random(), 0.5 + rng.random())
     n = (2 * nx + 1) * (ny + 1)
-    centre, u = junk(rng, n), junk(rng, n)  # walls and ghosts carry junk too
-    dt, mu, lam = rng.random(3)
-    div = np.empty(nx * (ny + 1))
-    ref, out = junk(rng, n), junk(rng, n)
-    _viscous_matvec(g, centre, dt, mu, lam, u, ref, (np.empty(n), div))
-    _kernels.bind_viscous(lib, g, centre, div, dt, mu, lam)(u.ctypes.data, out.ctypes.data)
+    # walls and ghosts carry junk too
+    operator = (junk(rng, n), np.empty(nx * (ny + 1)), nx, ny, *rng.random(6))
+    u, ref, out = junk(rng, n), junk(rng, n), junk(rng, n)
+    _viscous_matvec(*operator, u, ref, np.empty(n))
+    compiled_matvec(lib, "viscous", operator, u, out)
     assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("bad", ["centre", "div", "x", "p"])
+def test_bind_cg_takes_only_vectors_of_the_exact_size_and_layout(lib, bad):
+    nx, ny = 4, 5
+    n, nc = (2 * nx + 1) * (ny + 1), nx * (ny + 1)
+    v = {"centre": np.zeros(n), "div": np.zeros(nc), "x": np.zeros(n), "p": np.zeros(n)}
+    # a cell-sized centre, a face-sized div, a float32 x, a strided p
+    v[bad] = {"centre": np.zeros(nc), "div": np.zeros(n), "x": np.zeros(n, np.float32),
+              "p": np.zeros(2 * n)[::2]}[bad]
+    operator = (v["centre"], v["div"], nx, ny, *[1.0] * 6)
+    with pytest.raises(ValueError, match="contiguous float64 vectors"):
+        _kernels.bind_cg(lib, "viscous", operator, v["x"], np.zeros(n), v["p"], np.zeros(n),
+                         np.zeros(n), None)
+
+
+def test_the_load_check_runs_every_kernel(lib):
+    called = set()
+
+    class Spy:
+        """The library, noting the name of each function called."""
+
+        def __getattr__(self, name):
+            fn = getattr(lib, name)
+
+            def counted(*args):
+                called.add(name)
+                return fn(*args)
+
+            return counted
+
+    assert _kernels._matches_numpy(Spy())
+    assert called == set(_kernels._SIGNATURES)
 
 
 @given(shapes, st.booleans())
@@ -215,12 +252,9 @@ def viscous_failure(case):
 def viscous_cap():
     """_cg as _viscous_solve calls it, on the active path, capped at 3."""
     g, rfx, rfy, mx, my = viscous_problem(24)
-    dt, mu, lam = 0.05, 0.3, 0.1
-    centre, jacobi = _viscous_diagonals(g, rfx, rfy, dt, mu, lam)
+    operator, jacobi = _viscous_operator(g, rfx, rfy, 0.05, 0.3, 0.1)
     b, x = _face_vector(g, mx, my), np.zeros((2 * g.nx + 1) * (g.ny + 1))
-    div = np.empty(g.nx * (g.ny + 1))
-    _cg("viscous", lambda v, out, s: _viscous_matvec(g, centre, dt, mu, lam, v, out, (s, div)),
-        b, x, 1e-10, 3, jacobi, operator=(g, centre, div, dt, mu, lam))
+    _cg("viscous", operator, b, x, 1e-10, 3, jacobi)
 
 
 def diffusion_rhs():
@@ -233,19 +267,10 @@ def diffusion_rhs():
 def diffusion_cap(c=100.0):
     """_cg as implicit_diffusion_solve calls it, on the active path, capped at 1."""
     g = build_grid(SimulationParams(nx=8, ny=8))
-    cx, cy = c / g.hx ** 2, c / g.hy ** 2
-    diag = np.zeros((g.nx, g.ny + 1))
-    d = diag[:, :g.ny]
-    d[...] = 1.0 + 2.0 * (cx + cy)
-    d[0, :] -= cx
-    d[-1, :] -= cx
-    d[:, 0] -= cy
-    d[:, -1] -= cy
     b = np.zeros((g.nx, g.ny + 1))
     b[:, :g.ny] = np.random.default_rng(1).random((g.nx, g.ny))
-    b, diag = b.ravel(), diag.ravel()
-    _cg("diffusion", lambda v, out, s: _diffusion_matvec(g, diag, cx, cy, v, out, s),
-        b, b.copy(), 1e-12, 1, operator=(g, diag, cx, cy))
+    b = b.ravel()
+    _cg("diffusion", _diffusion_operator(g, c), b, b.copy(), 1e-12, 1)
 
 
 FAILURES = {
@@ -316,18 +341,29 @@ def no_home_directory(tmp_path, monkeypatch):
     assert os.path.expanduser("~") == "~"
 
 
-def mutated_kernel(tmp_path, monkeypatch):
-    # a real build of a source whose direction kernel subtracts z
+def mutated_build(tmp_path, monkeypatch, edit):
+    """A compiler that builds the source as the sed expression `edit` changes it."""
     cc = _kernels._compiler()
     if cc is None:
         pytest.skip("no C compiler")
     for name in ("gcc", "cc"):
-        script(tmp_path / "bin" / name, f"sed 's/p\\[k\\] \\* beta + z/p[k] * beta - z/' | {cc} \"$@\"")
+        script(tmp_path / "bin" / name, f"sed '{edit}' | {cc} \"$@\"")
     monkeypatch.setenv("PATH", str(tmp_path / "bin"))
 
 
+def mutated_kernel(tmp_path, monkeypatch):
+    # a real build of a source whose direction kernel subtracts z
+    mutated_build(tmp_path, monkeypatch, r"s/p\[k\] \* beta + z/p[k] * beta - z/")
+
+
+def mutated_matvec(tmp_path, monkeypatch):
+    # a real build of a source whose viscous matvec flips one grad-div term
+    mutated_build(tmp_path, monkeypatch, r"s/o += div\[k - L\] \* gxs/o -= div[k - L] * gxs/")
+
+
 @pytest.mark.parametrize("trigger", [no_compiler, failing_compiler, junk_library,
-                                     unwritable_cache, no_home_directory, mutated_kernel])
+                                     unwritable_cache, no_home_directory, mutated_kernel,
+                                     mutated_matvec])
 def test_each_failure_leaves_the_run_on_the_numpy_path(monkeypatch, tmp_path, trigger):
     def small_run():
         p = validate_params(SimulationParams(nx=12, ny=10, eps=1e-2, delta=1e-2, t_final=0.02))

@@ -22,7 +22,7 @@ from mhd2d.operators import (
     gradient_cc_to_face,
     upwind_scalar_flux_div,
 )
-from mhd2d.solver import _face_vector, _viscous_diagonals, _viscous_matvec, step
+from mhd2d.solver import _face_vector, _viscous_matvec, _viscous_operator, step
 
 grids = st.builds(Grid, st.integers(4, 16), st.integers(4, 16), st.floats(0.5, 2.0), st.floats(0.5, 2.0))
 
@@ -76,10 +76,10 @@ def test_viscous_operator_is_positive(g, data):
     dt = data.draw(st.floats(1e-4, 0.1))
     ux, uy = noslip_faces(data, g)
     ux[1, 0] = 1.0  # an interior face: p != 0
-    centre, _ = _viscous_diagonals(g, face_average_x(rho), face_average_y(rho), dt, mu, lam)
+    operator, _ = _viscous_operator(g, face_average_x(rho), face_average_y(rho), dt, mu, lam)
     p = _face_vector(g, ux, uy)
     ap = np.empty_like(p)
-    _viscous_matvec(g, centre, dt, mu, lam, p, ap, (np.empty_like(p), np.empty(g.nx * (g.ny + 1))))
+    _viscous_matvec(*operator, p, ap, np.empty_like(p))
     assert np.dot(p, ap) > 0.0
 
 

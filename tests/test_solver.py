@@ -36,12 +36,12 @@ from mhd2d.operators import face_average_x, face_average_y
 from mhd2d.solver import (
     Sources,
     _cg,
-    _diffusion_matvec,
+    _diffusion_operator,
     _diffusion_solve_counted,
     _face_vector,
     _faces,
-    _viscous_diagonals,
     _viscous_matvec,
+    _viscous_operator,
     _viscous_solve,
     implicit_diffusion_solve,
     pressure_total,
@@ -198,20 +198,10 @@ def diffusion_cg_capped_at_one(c=100.0):
     builds (rows of ny+1 with a zero ghost, mirror walls folded into the
     diagonal), on an 8x8 grid, with a cap of one iteration."""
     g = build_grid(params(nx=8, ny=8))
-    q = np.random.default_rng(1).random((g.nx, g.ny))
-    cx, cy = c / g.hx ** 2, c / g.hy ** 2
-    diag = np.zeros((g.nx, g.ny + 1))
-    d = diag[:, :g.ny]
-    d[...] = 1.0 + 2.0 * (cx + cy)
-    d[0, :] -= cx
-    d[-1, :] -= cx
-    d[:, 0] -= cy
-    d[:, -1] -= cy
     b = np.zeros((g.nx, g.ny + 1))
-    b[:, :g.ny] = q
-    b, diag = b.ravel(), diag.ravel()
-    matvec = lambda v, out, s: _diffusion_matvec(g, diag, cx, cy, v, out, s)  # noqa: E731
-    _cg("diffusion", matvec, b, b.copy(), 1e-12, 1)
+    b[:, :g.ny] = np.random.default_rng(1).random((g.nx, g.ny))
+    b = b.ravel()
+    _cg("diffusion", _diffusion_operator(g, c), b, b.copy(), 1e-12, 1)
 
 
 def test_diffusion_solve_iteration_cap():
@@ -223,10 +213,13 @@ def test_diffusion_solve_iteration_cap():
 # viscous operator
 # ------------------------------------------------------------------
 
-def viscous_apply(g, centre, dt, mu, lam, u):
-    """_viscous_matvec of the flat face vector u into fresh buffers."""
-    return _viscous_matvec(g, centre, dt, mu, lam, u, np.empty_like(u),
-                           (np.empty_like(u), np.empty(g.nx * (g.ny + 1))))
+def viscous_apply(g, operator, u):
+    """_viscous_matvec of the flat face vector u into fresh buffers, as
+    (nx+1, ny) x-face and (nx, ny+1) y-face views."""
+    out = np.empty_like(u)
+    _viscous_matvec(*operator, u, out, np.empty_like(u))
+    fx, fy = _faces(out, g)
+    return fx[:, :-1], fy
 
 
 def test_viscous_matvec_matches_operator_composition():
@@ -246,8 +239,8 @@ def test_viscous_matvec_matches_operator_composition():
     refy = rfy * uy - dt * (mu * lap.y + (mu + lam) * gd.y)
     refx[0, :] = refx[-1, :] = 0.0
     refy[:, 0] = refy[:, -1] = 0.0
-    centre, _ = _viscous_diagonals(g, rfx, rfy, dt, mu, lam)
-    ax, ay = viscous_apply(g, centre, dt, mu, lam, _face_vector(g, ux, uy))
+    operator, _ = _viscous_operator(g, rfx, rfy, dt, mu, lam)
+    ax, ay = viscous_apply(g, operator, _face_vector(g, ux, uy))
     assert np.abs(ax - refx).max() < 1e-13
     assert np.abs(ay - refy).max() < 1e-13
 
@@ -267,12 +260,12 @@ def test_viscous_operator_symmetric():
         uy[:, 0] = uy[:, -1] = 0.0
         return ux, uy
 
-    centre, _ = _viscous_diagonals(g, rfx, rfy, 0.01, 0.2, 0.05)
+    operator, _ = _viscous_operator(g, rfx, rfy, 0.01, 0.2, 0.05)
     for _ in range(10):
         u1, v1 = rand_u()
         u2, v2 = rand_u()
-        a1x, a1y = viscous_apply(g, centre, 0.01, 0.2, 0.05, _face_vector(g, u1, v1))
-        a2x, a2y = viscous_apply(g, centre, 0.01, 0.2, 0.05, _face_vector(g, u2, v2))
+        a1x, a1y = viscous_apply(g, operator, _face_vector(g, u1, v1))
+        a2x, a2y = viscous_apply(g, operator, _face_vector(g, u2, v2))
         lhs = np.sum(u2 * a1x) + np.sum(v2 * a1y)
         rhs = np.sum(u1 * a2x) + np.sum(v1 * a2y)
         assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
@@ -341,7 +334,7 @@ def test_viscous_solve_matches_dense_oracle():
 def test_viscous_jacobi_diagonal_matches_dense_oracle():
     g, _rng, rfx, rfy, dt, mu, lam = oracle_viscous_case()
     A, pack, _unpack = dense_viscous(g, rfx, rfy, dt, mu, lam)
-    _centre, jacobi = _viscous_diagonals(g, rfx, rfy, dt, mu, lam)
+    _operator, jacobi = _viscous_operator(g, rfx, rfy, dt, mu, lam)
     jx, jy = _faces(jacobi, g)
     ref = np.diag(A)
     assert np.abs(pack(jx[:, :-1], jy) - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -431,20 +424,15 @@ def test_diffusion_solve_rejects_bad_coefficient(coef):
 def test_viscous_cg_stall_reports_the_current_residual():
     g, rfx, rfy, mx, my, _guess = viscous_problem(24)
     dt, mu, lam = 0.05, 0.3, 0.1
-    centre, jacobi = _viscous_diagonals(g, rfx, rfy, dt, mu, lam)
+    operator, jacobi = _viscous_operator(g, rfx, rfy, dt, mu, lam)
     b = _face_vector(g, mx, my)
     b0 = b.copy()
     x = np.zeros_like(b)
-    div = np.empty(g.nx * (g.ny + 1))
-
-    def matvec(v, out, s):
-        _viscous_matvec(g, centre, dt, mu, lam, v, out, (s, div))
-
     with pytest.raises(LinearSolveDivergence, match=r"^viscous CG stalled after 3 iterations") as exc:
-        _cg("viscous", matvec, b, x, 1e-10, 3, jacobi)
+        _cg("viscous", operator, b, x, 1e-10, 3, jacobi)
     printed = float(re.search(r"residual (\S+)$", str(exc.value)).group(1))
     ax = np.empty_like(x)
-    _viscous_matvec(g, centre, dt, mu, lam, x, ax, (np.empty_like(x), div))
+    _viscous_matvec(*operator, x, ax, np.empty_like(x))
     actual = np.linalg.norm(b0 - ax) / np.linalg.norm(b0)
     # 1e-10 is far below: the residual after 3 iterations is still large
     assert actual > 1e-4
