@@ -2,6 +2,7 @@
 
     python3 bench/compare.py --pairs 10
     python3 bench/compare.py --workload reg128-dense --pairs 10
+    python3 bench/compare.py --counts
 
 Each pair runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
 once on the parent and once on the change, with the same seed and T the
@@ -22,6 +23,12 @@ medians wider than the parent's Q3 - Q1) and whether the change stays
 within the metric's bound (its median no worse than the parent's by more
 than the fraction `bound` of it).  The file also records the
 seeds, the order of each pair, both revisions and the machine.
+
+`--counts` checks instead that the change does the same work: it runs one
+traced smoke on each side (`--seed 1 --seconds 1 --trace 1`), prints
+every count metric that differs (calls, iterations per call or per
+step, bytes and `useful_ratio`) and every absent layer, and exits 1 if
+there is any.  It writes no file.
 """
 
 from __future__ import annotations
@@ -47,6 +54,8 @@ def _parse_args(argv):
     ap.add_argument("--workload", action="append", choices=[w["name"] for w in spec["workloads"]],
                     help="repeat for several; default: every workload of BENCHMARK.json")
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--counts", action="store_true",
+                    help="compare the counts of one traced smoke per side instead of timing pairs")
     args = ap.parse_args(argv)
     args.workload = args.workload or [w["name"] for w in spec["workloads"]]
     return args, spec
@@ -79,6 +88,34 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "environment": info.get("environment"), "bodies": len(info.get("walls_s") or [])}
+
+
+# the per-layer metrics that count work rather than time it
+COUNT_SUFFIXES = (".calls", "_per_call", "_per_step", ".bytes", ".useful_ratio")
+
+
+def _traced(tree: Path, workload: str) -> dict:
+    """The per-layer metrics and absent layers of one traced smoke in `tree`."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+           "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=600)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result, info = json.loads(lines[-1]), json.loads(lines[-2])["info"]
+    except (IndexError, ValueError, KeyError):
+        return {"metrics": {}, "absent": [f"no result (exit {proc.returncode})"]}
+    return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "absent": info.get("absent_layers", [])}
+
+
+def _count_diff(parent: dict, change: dict) -> list[str]:
+    """One line per count metric that differs between two traced smokes,
+    or that only one of them reports, and one per absent layer."""
+    pm, cm = parent["metrics"], change["metrics"]
+    names = sorted(k for k in {*pm, *cm} if k.endswith(COUNT_SUFFIXES))
+    lines = [f"{k}: parent {pm.get(k)} change {cm.get(k)}" for k in names if pm.get(k) != cm.get(k)]
+    return lines + [f"absent on the {side}: {layer}" for side, run in
+                    (("parent", parent), ("change", change)) for layer in run["absent"]]
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -131,6 +168,15 @@ def main(argv=None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="mhd2d-bench-parent-"))
     try:
         _export(parent_rev, tmp)
+        if args.counts:
+            differ = False
+            for workload in args.workload:
+                lines = _count_diff(_traced(tmp, workload), _traced(ROOT, workload))
+                print(f"{workload}: " + ("counts equal" if not lines else "counts differ"))
+                for line in lines:
+                    print(f"  {line}")
+                differ = differ or bool(lines)
+            return 1 if differ else 0
         for workload in args.workload:
             pairs, environment = [], None
             for k in range(args.pairs):

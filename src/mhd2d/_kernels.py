@@ -1,17 +1,17 @@
-"""Compiled twins of the elementwise loops of the conjugate-gradient solves.
+"""Compiled twins of the hot loops of a step: the conjugate-gradient
+solves, the explicit stencils and the integrands of the diagnostics.
 
-`load()` returns the ctypes handle of `_kernels.c` or None; with None the
-solves run their numpy code, and both give the same bits.  The library
-is built once per machine and source into the user cache,
+`load()` returns the ctypes handle of `_kernels.c` or None; with None
+every caller runs its numpy code, and both give the same bits.  The
+library is built once per machine and source into the user cache,
 `$XDG_CACHE_HOME/mhd2d` or else `~/.cache/mhd2d`, under a name that
 hashes the C source, the compiler command and the machine type, and it
-is loaded only after each operator's CG steps, bound by bind_cg as the
-solves bind them, have reproduced their numpy twins to the last bit on
-random data.  None records what was observed: no C compiler,
-a failed compile, an unwritable cache or no home directory to hold it,
-a library that ctypes cannot load
-or a kernel that differs from its twin.  The solver imports this module
-at its first implicit solve, never at `import mhd2d`.
+is loaded only after every kernel has reproduced its numpy twin to the
+last bit on random data.  None records what was observed, and `_reason`
+names it: no C compiler, a failed compile, an unwritable cache or no
+home directory to hold it, a library that ctypes cannot load, or a
+kernel that differs from its twin.  The package imports this module at
+the first call that could use a kernel, never at `import mhd2d`.
 """
 
 from __future__ import annotations
@@ -26,25 +26,47 @@ import tempfile
 import numpy as np
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
-_FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
+_FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 _P, _D, _N = ctypes.c_void_p, ctypes.c_double, ctypes.c_long
 _SIGNATURES = {
     "diffusion_matvec": (_P, _N, _N, _D, _D, _P, _P),
     "viscous_matvec": (_P, _P, _N, _N, _D, _D, _D, _D, _D, _D, _P, _P),
     "cg_update": (_N, _P, _P, _P, _P, _P, _P, _D),
     "cg_direction": (_N, _P, _P, _D),
+    "dot": (_N, _P, _P),
+    "cg_solve": (_N, _P, _P, _N, _N, _P, _N, _P, _P, _P, _P, _P, _P, _D, _N, _D, _D, _D,
+                 _P, _P),
 }
+# the gridded kernels, which run() calls: the shape of each array argument
+# (c cells, x and y faces, n nodes, X and Y interior x and y faces), then
+# the ctypes of the scalars after nx, ny
+_GRIDDED = {
+    "gradient": ("cxy", _D, _D),
+    "scalar_flux_div": ("cxyxyc", _D, _D, _N),
+    "eps_drag": ("xyxyxy", _D, _D, _D),
+    "momentum_rhs": ("cxyxyxyxyxyxy", _D),
+    "energy_density": ("ccxyccc", _D, _N, _D),
+    "velocity_gradient_sq": ("xyccnnc", _D, _D),
+    "weighted_grad_sq": ("cxyXY", _D),
+    "entropy_density": ("ccccc",),
+}
+# the array arguments a gridded kernel takes as NULL when they are None
+_OPTIONAL = {"momentum_rhs": (9, 10), "energy_density": (5,)}
+_RESTYPES = {"dot": _D, "cg_solve": _N}
+for _name, (_codes, *_scalars) in _GRIDDED.items():
+    _SIGNATURES[_name] = (*[_P] * len(_codes), _N, _N, *_scalars)
 
 _UNSET = object()
 _lib = _UNSET  # load()'s result, kept per process: a ctypes.CDLL or None
+_reason = None  # why load() returned None, in words, or None
 
 
 def load():
     """The checked kernel library, or None when the numpy path must run."""
-    global _lib
+    global _lib, _reason
     if _lib is _UNSET:
-        path = _build()
-        _lib = None if path is None else _open(path)
+        path, _reason = _build()
+        _lib, _reason = (None, _reason) if path is None else _open(path)
     return _lib
 
 
@@ -56,15 +78,15 @@ def _compiler():
 
 
 def _build():
-    """Path of the library built from this source, compiling it on first
-    use; None when no compiler is found, the cache path is not absolute
-    or cannot be written, or the build fails."""
+    """(path, None) of the library built from this source, compiling it on
+    first use; (None, reason) when no compiler is found, the cache path is
+    not absolute or cannot be written, or the build fails."""
     import hashlib
     import subprocess
 
     cc = _compiler()
     if cc is None:
-        return None
+        return None, "no compiler"
     cmd = [cc, *_FLAGS]
     try:
         with open(_SOURCE, "rb") as fh:
@@ -73,37 +95,40 @@ def _build():
         cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
                              or os.path.join(os.path.expanduser("~"), ".cache"), "mhd2d")
         if not os.path.isabs(cache):
-            return None  # no home directory ("~" stays as it is): nowhere to write
+            return None, "cache unwritable"  # no home directory ("~" stays as it is)
         path = os.path.join(cache, f"_kernels-{key.hexdigest()[:32]}.so")
         if os.path.exists(path):
-            return path
+            return path, None
         os.makedirs(cache, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix="_kernels-", suffix=".tmp", dir=cache)
         os.close(fd)
-        try:
-            # the compiler reads the hashed bytes, not the file again
-            subprocess.run([*cmd, "-x", "c", "-o", tmp, "-"], input=source,
-                           capture_output=True, check=True, timeout=300)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+    except OSError:
+        return None, "cache unwritable"
+    try:
+        # the compiler reads the hashed bytes, not the file again
+        subprocess.run([*cmd, "-x", "c", "-o", tmp, "-"], input=source,
+                       capture_output=True, check=True, timeout=300)
+        os.replace(tmp, path)
     except (OSError, subprocess.SubprocessError):
-        return None
-    return path
+        return None, "build failed"
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return path, None
 
 
 def _open(path):
-    """The library at `path` with its signatures set, if every kernel
-    reproduces its numpy twin; else None."""
+    """(library, None) for the library at `path` with its signatures set,
+    if every kernel reproduces its numpy twin; else (None, reason)."""
     try:
         lib = ctypes.CDLL(path)
         for name, argtypes in _SIGNATURES.items():
             fn = getattr(lib, name)
-            fn.argtypes, fn.restype = argtypes, None
+            fn.argtypes, fn.restype = argtypes, _RESTYPES.get(name)
     except (OSError, AttributeError):
-        return None
-    return lib if _matches_numpy(lib) else None
+        return None, "load failed"
+    bad = _first_mismatch(lib)
+    return (lib, None) if bad is None else (None, f"{bad} differs from its numpy twin")
 
 
 def _addresses(n, *vectors):
@@ -115,75 +140,195 @@ def _addresses(n, *vectors):
 
 
 def bind_cg(lib, name, operator, x, r, p, ap, z, jacobi):
-    """The compiled steps of solver._cg on its buffers: (apply, update,
-    direction).  apply(v) writes A v into ap for v = x or p by
-    lib.<name>_matvec on `operator`, the arguments before the vectors of
-    its numpy twin: the diagonal, of the vectors' size, and any cell-vector
-    scratch, then nx, ny and the scalars.  update(alpha) and
-    direction(beta) are the twins of solver._cg_update and _cg_direction.
-    The caller keeps the vectors and the operator's arrays alive."""
+    """solver._cg's loop on its buffers as one compiled call: the twin of
+    solver._cg_iterate, solve(tb, max_iter, jmin, jmax, far) -> (status,
+    iterations, value).  `operator` holds the arguments before the vectors
+    of the `name` matvec's numpy twin: the diagonal, of the vectors' size,
+    and any cell-vector scratch, then nx, ny and the scalars.  r holds b,
+    z is r (plain CG) or the scratch that takes r/jacobi.  The caller
+    keeps the vectors and the operator's arrays alive."""
     n = x.size
     xa, ra, pa, apa, za = _addresses(n, x, r, p, ap, z)
     ja = None if jacobi is None else _addresses(n, jacobi)[0]
     k = next(i for i, a in enumerate(operator) if not isinstance(a, np.ndarray))
     nx, ny = operator[k:k + 2]
-    args = (*_addresses(n, operator[0]), *_addresses(nx * (ny + 1), *operator[1:k]),
-            *operator[k:])
-    matvec, cg_update, cg_direction = (getattr(lib, f"{name}_matvec"), lib.cg_update,
-                                       lib.cg_direction)
+    diag, *scratch = (*_addresses(n, operator[0]), *_addresses(nx * (ny + 1), *operator[1:k]))
+    factors = (ctypes.c_double * 6)(*operator[k + 2:])
+    iters, value = ctypes.c_long(), ctypes.c_double()
+    kind = {"diffusion": 0, "viscous": 1}[name]
 
-    def apply(v):
-        matvec(*args, pa if v is p else xa, apa)
+    def solve(tb, max_iter, jmin, jmax, far):
+        status = lib.cg_solve(kind, diag, scratch[0] if scratch else None, nx, ny, factors, n,
+                              xa, ra, pa, apa, za, ja, tb, max_iter, jmin, jmax, far,
+                              ctypes.byref(iters), ctypes.byref(value))
+        return status, iters.value, value.value
 
-    def update(alpha):
-        cg_update(n, xa, ra, pa, apa, za, ja, alpha)
-
-    def direction(beta):
-        cg_direction(n, pa, za, beta)
-
-    return apply, update, direction
+    return solve
 
 
-def _matches_numpy(lib) -> bool:
-    """Each operator's CG steps, through bind_cg, against their numpy twins
-    in solver, on random data (walls, ghosts and signed zeros included) on
-    a small non-square grid, with and without a Jacobi diagonal, compared
-    by their bytes."""
-    from .solver import _MATVECS, _cg_direction, _cg_update
+def run(name, *args) -> bool:
+    """Whether the gridded kernel `name` ran on `args`: its arrays (None
+    for an absent optional one), then nx, ny and the scalars.  It runs
+    when the library loads, every array is a C-contiguous float64 array
+    of exactly the shape the kernel takes and ctypes can pass every
+    scalar; otherwise nothing is touched and the caller runs its numpy
+    twin, which raises or computes as it always has."""
+    lib = load()
+    if lib is None:
+        return False
+    codes = _GRIDDED[name][0]
+    nx, ny = args[len(codes):len(codes) + 2]
+    shapes = {"c": (nx, ny), "x": (nx + 1, ny), "y": (nx, ny + 1), "n": (nx + 1, ny + 1),
+              "X": (nx - 1, ny), "Y": (nx, ny - 1)}
+    addresses = []
+    for i, (code, a) in enumerate(zip(codes, args)):
+        if a is None and i in _OPTIONAL.get(name, ()):
+            addresses.append(None)
+        elif isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous \
+                and a.shape == shapes[code]:
+            addresses.append(a.ctypes.data)
+        else:
+            return False
+    try:
+        getattr(lib, name)(*addresses, *args[len(codes):])
+    except ctypes.ArgumentError:  # ctypes converts every argument before the call
+        return False
+    return True
 
-    nx, ny = 5, 7
-    nc, nf = nx * (ny + 1), (2 * nx + 1) * (ny + 1)
+
+def _first_mismatch(lib):
+    """The name of the first kernel that differs from its numpy twin on
+    random data (walls, ghosts and signed zeros included), compared by
+    their bytes, or None.  In turn: the einsum-order dot, on a vector
+    longer than one 8192-element chunk too; each CG step; whole CG solves
+    through bind_cg; then each gridded kernel, through the function that
+    dispatches it, once on each path."""
+    from . import solver
+
     rng = random.Random(2024)  # not numpy.random, which would cost 5 MB to load
 
-    def normal(k, n):
-        return np.array([rng.gauss(0.0, 1.0) for _ in range(k * n)]).reshape(k, n)
+    def junk(*shape):
+        """Uniform in [-1, 1), every third entry a zero of either sign."""
+        bits = np.frombuffer(rng.randbytes(8 * int(np.prod(shape))), np.uint64)
+        v = (bits >> np.uint64(11)) * 2.0 ** -52 - 1.0
+        v[::3] *= 0.0
+        return v.reshape(shape)
 
-    def scalars(k):
-        return [rng.random() for _ in range(k)]
+    # 40 and 88 elements: 5x7 cell and face vectors; 8385: a 64^2 face
+    # vector, one chunk and a part
+    for n in (40, 88, 8385):
+        a, b = junk(n + 1), junk(n + 1)  # apart: one 134 kB block would be mmapped
+        for u, v in ((a[:-1], b[:-1]), (a[1:], b[1:])):  # aligned, then offset
+            if not _same(lib.dot(n, u.ctypes.data, v.ctypes.data), solver._dot(u, v)):
+                return "dot"
+    return _cg_mismatch(lib, junk) or _gridded_mismatch(lib, junk)
 
-    operators = {"diffusion": (nc, (*normal(1, nc), nx, ny, *scalars(2))),
-                 "viscous": (nf, (*normal(1, nf), np.empty(nc), nx, ny, *scalars(6)))}
-    alpha, beta = scalars(2)
-    same = True
-    for name, (n, operator) in operators.items():
-        for jacobi in (normal(1, n)[0], None):
-            # each vector starts as the same junk on the two paths
-            x, r, p, ap, s = normal(5, n)
-            x[::3] *= 0.0  # zeros of both signs
-            twin = [v.copy() for v in (x, r, p, ap, s)]
-            # z is r in plain CG; with jacobi it is the scratch s
-            z, tz = (r, twin[1]) if jacobi is None else (s, twin[4])
-            apply, update, direction = bind_cg(lib, name, operator, *twin[:4], tz, jacobi)
-            # the steps of one CG iteration, in _cg's order, on both paths
-            _MATVECS[name](*operator, x, ap, s)
-            apply(twin[0])
-            same = same and ap.tobytes() == twin[3].tobytes()
-            _MATVECS[name](*operator, p, ap, s)
-            _cg_update(x, r, p, ap, s, jacobi, alpha)
-            _cg_direction(p, z, beta)
-            apply(twin[2])
-            update(alpha)
-            direction(beta)
-            outs = zip((x, r, p, ap, z), (*twin[:4], tz))
-            same = same and all(a.tobytes() == b.tobytes() for a, b in outs)
-    return same
+
+def _same(a, b) -> bool:
+    """Whether a and b, arrays, floats or nested sequences of them, have
+    the same bytes."""
+    def flat(x):
+        if isinstance(x, (list, tuple)):  # FaceFields and lists of outputs
+            return b"".join(map(flat, x))
+        return np.asarray(x, dtype=float).tobytes()
+
+    return flat(a) == flat(b)
+
+
+def _cg_mismatch(lib, junk):
+    """The first CG kernel of lib that differs from its numpy twin, or
+    None: each matvec, the update and the direction on a 5x7 grid, then
+    cg_solve against solver._cg_iterate on that grid, with and without a
+    Jacobi diagonal, capped short of convergence and run to its end.
+    cg_solve's dots are dot's code, which _first_mismatch has checked
+    across a chunk; tests/test_kernels.py runs whole solves at 64^2."""
+    from .core import SimulationParams, build_grid
+    from .solver import (_cg_direction, _cg_iterate, _cg_update, _diffusion_operator, _MATVECS,
+                         _viscous_operator)
+
+    grid = build_grid(SimulationParams(nx=5, ny=7, Ly=0.7))
+    rfx, rfy = 1.5 + junk(6, 7), 1.5 + junk(5, 8)
+    cases = {"diffusion": (_diffusion_operator(grid, 0.05), None),
+             "viscous": _viscous_operator(grid, rfx, rfy, 0.05, 0.3, 0.1)}
+    for name, (operator, _) in cases.items():
+        n = operator[0].size
+        u, out, ref = junk(3, n)
+        _MATVECS[name](*operator, u, ref, np.empty(n))
+        arrays = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in operator]
+        getattr(lib, f"{name}_matvec")(*arrays, u.ctypes.data, out.ctypes.data)
+        if not _same(out, ref):
+            return f"{name}_matvec"
+
+    n = cases["viscous"][0][0].size
+    for jacobi in (1.0 + junk(n) ** 2, None):
+        bufs = junk(5, n)
+        twin = bufs.copy()
+        alpha, beta = junk(2)
+        _cg_update(*bufs, jacobi, alpha)
+        lib.cg_update(n, *[v.ctypes.data for v in twin],
+                      None if jacobi is None else jacobi.ctypes.data, alpha)
+        z = 4 if jacobi is not None else 1  # without jacobi, numpy's scratch holds junk
+        if not _same(twin[[0, 1, z]], bufs[[0, 1, z]]):
+            return "cg_update"
+        _cg_direction(bufs[2], bufs[z], beta)
+        lib.cg_direction(n, twin[2].ctypes.data, twin[z].ctypes.data, beta)
+        if not _same(twin[2], bufs[2]):
+            return "cg_direction"
+
+    for name, (operator, jac) in cases.items():
+        for jacobi in (None,) if jac is None else (jac, None):
+            for max_iter in (3, 40):
+                bufs = junk(5, operator[0].size)  # x, b, p, Ap, scratch
+                twin = bufs.copy()
+                bounds = (1e-10, max_iter, 0.5, 2.0, 1e-20)
+                numpy_path = _cg_iterate(name, operator, *bufs, jacobi, *bounds)
+                z = twin[1] if jacobi is None else twin[4]
+                compiled = bind_cg(lib, name, operator, *twin[:4], z, jacobi)(*bounds)
+                # the numpy matvec also writes its scratch, the fifth buffer
+                if compiled[:2] != numpy_path[:2] or not _same(
+                        [compiled[2], twin[:4]], [numpy_path[2], bufs[:4]]):
+                    return "cg_solve"
+    return None
+
+
+def _gridded_mismatch(lib, junk):
+    """The first gridded kernel of lib that differs from its numpy twin, or
+    None: each runs through the function that dispatches it, once with
+    the library withheld and once with it, on a 5x7 grid."""
+    global _lib
+    from dataclasses import replace
+
+    from . import diagnostics, operators, solver
+    from .core import SimulationParams, State, build_grid
+
+    nx, ny = 5, 7
+    rho, b = 1.5 + junk(2, nx, ny)
+    fields = [operators.FaceField(junk(nx + 1, ny), junk(nx, ny + 1)) for _ in range(4)]
+    state = State(rho, b, *fields[0], 0.0)
+    cases = {
+        "gradient": lambda p, g: operators.gradient_cc_to_face(g, rho),
+        "scalar_flux_div": lambda p, g: [operators.upwind_scalar_flux_div(g, rho, *fields[0], s)
+                                         for s in ("upwind", "centered")],
+        "eps_drag": lambda p, g: operators.eps_gradrho_gradu(g, rho, *fields[0], 0.3),
+        "momentum_rhs": lambda p, g: [
+            solver._momentum_rhs(g, rho, *fields[0], 0.1, *fields[1:], s)
+            for s in (None, solver.Sources(rho, b, *fields[0]))],
+        "energy_density": lambda p, g: [diagnostics._energy_density(state, q, g)
+                                        for q in (p, replace(p, gamma=1.0, delta=0.0))],
+        "velocity_gradient_sq": lambda p, g: diagnostics._velocity_gradient_squares(g, state),
+        "weighted_grad_sq": lambda p, g: diagnostics._weighted_grad_sq_terms(g, fields[1], 0.7, b),
+        "entropy_density": lambda p, g: diagnostics.log_entropy(state, g),
+    }
+    params = SimulationParams(nx=nx, ny=ny, Ly=0.7, delta=0.01, Gamma=6.0, gamma=1.4)
+    grid = build_grid(params)
+    saved = _lib
+    try:
+        for name, case in cases.items():
+            _lib = None
+            reference = case(params, grid)
+            _lib = lib
+            if not _same(case(params, grid), reference):
+                return name
+    finally:
+        _lib = saved
+    return None

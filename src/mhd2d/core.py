@@ -245,6 +245,18 @@ def pin_noslip(ux: np.ndarray, uy: np.ndarray) -> None:
     uy[:, 0] = uy[:, -1] = 0.0
 
 
+def _compiled(name: str, *args) -> bool:
+    """Whether the compiled twin `name` of _kernels ran on `args` (arrays,
+    then nx, ny and the scalars): only when the library loads and every
+    array has the exact shape and layout the kernel takes.  When False,
+    nothing was written and the caller runs its numpy code, which gives
+    the same bits.  The first call imports the loader; `import mhd2d`
+    never does."""
+    from . import _kernels
+
+    return _kernels.run(name, *args)
+
+
 # ------------------------------------------------------------------
 # Initial data
 # ------------------------------------------------------------------

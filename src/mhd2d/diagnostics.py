@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 # record_state looks ratio_bounds up here, so patching diagnostics.ratio_bounds reaches it
-from .core import Grid, SimulationParams, State, _require_finite, ratio_bounds
+from .core import Grid, SimulationParams, State, _compiled, _require_finite, ratio_bounds
 from .eos import pressure_total
 from .errors import GridMismatch, NonpositiveField, SupportNotCovered, ValidationError
 from .operators import (
@@ -102,17 +102,28 @@ def total_energy(state: State, params: SimulationParams, grid: Grid) -> float:
     velocity.  For gamma == 1 the elastic term switches to the
     isothermal form a*rho*log(rho) (flagged in run metadata).
     """
+    return float(np.sum(_energy_density(state, params, grid))) * grid.cell_area
+
+
+def _energy_density(state: State, params: SimulationParams, grid: Grid) -> np.ndarray:
+    """The integrand of total_energy, per cell."""
     rho, b = state.rho, state.b
+    iso = params.gamma == 1.0
+    elastic = np.log(rho) if iso else rho ** params.gamma
+    coef = params.a if iso else params.a / (params.gamma - 1.0)
+    s, dcoef = None, 0.0
+    if params.delta > 0.0:
+        s, dcoef = (rho + b) ** params.Gamma, params.delta / (params.Gamma - 1.0)
+    e = np.empty(np.shape(rho))
+    if _compiled("energy_density", rho, b, state.ux, state.uy, elastic, s, e,
+                 grid.nx, grid.ny, coef, iso, dcoef):
+        return e
     ucx, ucy = face_to_center(state.ux, state.uy)
     kinetic = 0.5 * rho * (ucx * ucx + ucy * ucy)
-    if params.gamma == 1.0:
-        elastic = params.a * rho * np.log(rho)
-    else:
-        elastic = params.a / (params.gamma - 1.0) * rho ** params.gamma
-    e = kinetic + elastic + 0.5 * b * b
-    if params.delta > 0.0:
-        e = e + params.delta / (params.Gamma - 1.0) * (rho + b) ** params.Gamma
-    return float(np.sum(e)) * grid.cell_area
+    e = kinetic + (coef * rho * elastic if iso else coef * elastic) + 0.5 * b * b
+    if s is not None:
+        e = e + dcoef * s
+    return e
 
 
 def velocity_gradient_sq_integral(state: State, grid: Grid) -> tuple[float, float]:
@@ -121,16 +132,23 @@ def velocity_gradient_sq_integral(state: State, grid: Grid) -> tuple[float, floa
     d(ux)/dx and d(uy)/dy live at cell centers; the cross derivatives at
     mesh nodes, closed with sign-flip ghosts (no-slip walls).
     """
-    duxdx, duydy, duxdy, duydx = _velocity_gradients(grid, state)
-    grad_sq = (
-        np.sum(duxdx ** 2)
-        + np.sum(duydy ** 2)
-        + np.sum(duxdy ** 2)
-        + np.sum(duydx ** 2)
-    ) * grid.cell_area
-    div = duxdx + duydy
-    div_sq = float(np.sum(div ** 2)) * grid.cell_area
+    xx, yy, xy, yx, dv = _velocity_gradient_squares(grid, state)
+    grad_sq = (np.sum(xx) + np.sum(yy) + np.sum(xy) + np.sum(yx)) * grid.cell_area
+    div_sq = float(np.sum(dv)) * grid.cell_area
     return float(grad_sq), div_sq
+
+
+def _velocity_gradient_squares(grid: Grid, state: State):
+    """The squares of dux/dx, duy/dy (cells), dux/dy, duy/dx (nodes) and
+    of div u (cells)."""
+    nx, ny = grid.nx, grid.ny
+    xx, yy, dv = (np.empty((nx, ny)) for _ in range(3))
+    xy, yx = (np.empty((nx + 1, ny + 1)) for _ in range(2))
+    if _compiled("velocity_gradient_sq", state.ux, state.uy, xx, yy, xy, yx, dv, nx, ny,
+                 grid.hx, grid.hy):
+        return xx, yy, xy, yx, dv
+    duxdx, duydy, duxdy, duydx = _velocity_gradients(grid, state)
+    return duxdx ** 2, duydy ** 2, duxdy ** 2, duydx ** 2, (duxdx + duydy) ** 2
 
 
 def _velocity_gradients(grid: Grid, state: State):
@@ -159,14 +177,14 @@ def _dissipation_rate(state, params, grid, grad_sq, div_sq) -> float:
         rho, b = state.rho, state.b
         gr = gradient_cc_to_face(grid, rho)
         gb = gradient_cc_to_face(grid, b)
-        wr = params.a * params.gamma * rho ** (params.gamma - 2.0)
+        wr = rho ** (params.gamma - 2.0)
         d += params.eps * (
-            _weighted_grad_sq(grid, gr, wr) + _grad_sq(grid, gb)
+            _weighted_grad_sq(grid, gr, params.a * params.gamma, wr) + _grad_sq(grid, gb)
         )
         if params.delta > 0.0:
             gs = gradient_cc_to_face(grid, rho + b)
-            ws = params.delta * params.Gamma * (rho + b) ** (params.Gamma - 2.0)
-            d += params.eps * _weighted_grad_sq(grid, gs, ws)
+            ws = (rho + b) ** (params.Gamma - 2.0)
+            d += params.eps * _weighted_grad_sq(grid, gs, params.delta * params.Gamma, ws)
     return float(d)
 
 
@@ -174,12 +192,21 @@ def _grad_sq(grid: Grid, g: FaceField) -> float:
     return (np.sum(g.x ** 2) + np.sum(g.y ** 2)) * grid.cell_area
 
 
-def _weighted_grad_sq(grid: Grid, g: FaceField, w_cc: np.ndarray) -> float:
+def _weighted_grad_sq(grid: Grid, g: FaceField, coef: float, pw: np.ndarray) -> float:
+    """int w|g|^2 over the interior faces, w = coef*pw averaged from the cells."""
+    ox, oy = _weighted_grad_sq_terms(grid, g, coef, pw)
+    return (np.sum(ox) + np.sum(oy)) * grid.cell_area
+
+
+def _weighted_grad_sq_terms(grid: Grid, g: FaceField, coef: float, pw: np.ndarray):
+    """The integrands of _weighted_grad_sq on the interior x and y faces."""
+    ox, oy = np.empty((grid.nx - 1, grid.ny)), np.empty((grid.nx, grid.ny - 1))
+    if _compiled("weighted_grad_sq", pw, g.x, g.y, ox, oy, grid.nx, grid.ny, coef):
+        return ox, oy
+    w_cc = coef * pw
     wx = face_average_x(w_cc)[1:-1, :]
     wy = face_average_y(w_cc)[:, 1:-1]
-    return (
-        np.sum(wx * g.x[1:-1, :] ** 2) + np.sum(wy * g.y[:, 1:-1] ** 2)
-    ) * grid.cell_area
+    return wx * g.x[1:-1, :] ** 2, wy * g.y[:, 1:-1] ** 2
 
 
 def convex_fraction_functional(state: State, grid: Grid) -> float:
@@ -196,7 +223,11 @@ def log_entropy(state: State, grid: Grid) -> float:
     rho, b = state.rho, state.b
     if rho.min() <= 0.0 or b.min() <= 0.0:
         raise NonpositiveField("log entropy needs rho, b > 0")
-    return float(np.sum(rho * np.log(rho) + b * np.log(b))) * grid.cell_area
+    lr, lb = np.log(rho), np.log(b)
+    e = np.empty(np.shape(rho))
+    if not _compiled("entropy_density", rho, b, lr, lb, e, grid.nx, grid.ny):
+        e = rho * lr + b * lb
+    return float(np.sum(e)) * grid.cell_area
 
 
 def log_entropy_comparison(traj, traj_ref):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Grid
+from .core import Grid, _compiled
 
 __all__ = [
     "FaceField",
@@ -53,8 +53,9 @@ def gradient_cc_to_face(grid: Grid, q: np.ndarray) -> FaceField:
     """
     gx = grid.zeros_xface()
     gy = grid.zeros_yface()
-    gx[1:-1, :] = (q[1:, :] - q[:-1, :]) / grid.hx
-    gy[:, 1:-1] = (q[:, 1:] - q[:, :-1]) / grid.hy
+    if not _compiled("gradient", q, gx, gy, grid.nx, grid.ny, grid.hx, grid.hy):
+        gx[1:-1, :] = (q[1:, :] - q[:-1, :]) / grid.hx
+        gy[:, 1:-1] = (q[:, 1:] - q[:, :-1]) / grid.hy
     return FaceField(gx, gy)
 
 
@@ -120,6 +121,11 @@ def upwind_scalar_flux_div(grid: Grid, q, ux, uy, scheme: str = "upwind") -> np.
     is conserved exactly under forward Euler.  With scheme="upwind" a
     CFL-compliant step is also monotone: new q stays in [min q, max q].
     """
+    out = np.empty((grid.nx, grid.ny))
+    if scheme in ("upwind", "centered") and _compiled(
+            "scalar_flux_div", q, ux, uy, np.empty_like(ux), np.empty_like(uy), out,
+            grid.nx, grid.ny, grid.hx, grid.hy, scheme == "centered"):
+        return out
     fx, fy = _scalar_face_fluxes(grid, q, ux, uy, scheme)
     return divergence_face_to_cc(grid, FaceField(fx, fy))
 
@@ -172,6 +178,8 @@ def eps_gradrho_gradu(grid: Grid, rho, ux, uy, eps: float) -> FaceField:
     hx, hy = grid.hx, grid.hy
 
     grho = gradient_cc_to_face(grid, rho)
+    if _compiled("eps_drag", *grho, ux, uy, fx, fy, grid.nx, grid.ny, hx, hy, eps):
+        return FaceField(fx, fy)
 
     # x faces: d(rho)/dx natural, d(rho)/dy averaged from 4 adjacent y-faces
     drdx = grho.x[1:-1, :]  # (nx-1, ny)

@@ -28,29 +28,32 @@ does not depend on the BLAS thread count.  A non-finite right-hand side or
 residual, CG breakdown and the iteration cap raise LinearSolveDivergence
 naming the solve.
 
-Buffer budget, so that a 128^2 solve stays in a 2 MiB L2:
+Buffers, allocated once per solve:
   viscous    7.5 face vectors: x, b (overwritten by the residual r), p,
              A p, one scratch, the centre and Jacobi diagonals, and div u
-             on cells (half a face vector);
+             on cells (half a face vector): 1.99 MB at 128^2, about the
+             whole of a 2 MB per-core L2;
   diffusion  6 cell vectors: x, b (then r), p, A p, one scratch and the
-             diagonal.
-The scratch holds, in turn, u*mu*dt/hx^2 and u*mu*dt/hy^2 (c/hx^2 and
-c/hy^2 for diffusion), the grad-div term, alpha*p, alpha*Ap and, with
-Jacobi, z = r/jacobi; no two of them are live at once.  The Jacobi CG
-takes r.r only where it might end the loop: when j_min*(r.z) no longer
-exceeds 4*(tol*|b|)^2, when r.z is not finite and at the iteration cap.
-Until then an iteration costs two dot products, not three.
+             diagonal: 0.79 MB at 128^2.
+In numpy the scratch holds, in turn, u*mu*dt/hx^2 and u*mu*dt/hy^2
+(c/hx^2 and c/hy^2 for diffusion), the grad-div term, alpha*p, alpha*Ap
+and, with Jacobi, z = r/jacobi; no two of them are live at once.  The
+Jacobi CG takes r.r only where it might end the loop: when j_min*(r.z)
+no longer exceeds 4*(tol*|b|)^2, when r.z is not finite and at the
+iteration cap.  Until then an iteration costs two dot products, not three.
 
 Passes per iteration: in numpy a viscous iteration makes about 34 passes
 over (parts of) its vectors, one per ufunc call.  When the compiled
-kernels of _kernels load, it makes five: the matvec, the update (x, r and
-z in one loop) and the direction, each one loop in C, plus the two dots,
-which stay numpy's.  The kernels use the buffers above, and the scratch
-then holds only z.  Each kernel does every element's operations in the
-order of its numpy twin, so both paths give the same bits; the numpy
-code runs whenever the kernels cannot be built, loaded or checked, and
-nothing else picks the path.  Both paths take each operator as the one
-argument tuple of its C kernel, made once per solve by its builder.
+kernels of _kernels load, the whole loop after |b| is one C call per
+solve, which makes three: the matvec, which sums p.Ap while it writes
+A p; the update (x, r and z in one loop), which sums r.z while it writes
+them; and the direction.  The scratch then holds only z.  Each kernel
+does every element's operations in the order of its numpy twin, and each
+dot adds in the fixed order of numpy's einsum loop, so both paths give
+the same bits; the numpy code runs whenever the kernels cannot be built,
+loaded or checked, and nothing else picks the path.  Both paths take
+each operator as the one argument tuple of its C kernel, made once per
+solve by its builder.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .core import Grid, SimulationParams, State, build_grid, check_state
-from .core import field_shapes, init_state, pin_noslip
+from .core import _compiled, field_shapes, init_state, pin_noslip
 from .eos import pressure_total, sound_speed_sq
 from .errors import DegenerateState, LinearSolveDivergence, PositivityLoss, ValidationError
 from .operators import (
@@ -202,21 +205,24 @@ def _cg_direction(p, z, beta):
     p += z
 
 
+# the outcomes of _cg_iterate, as cg_solve in _kernels.c numbers them
+_CG_CONVERGED, _CG_RESIDUAL_NOT_FINITE, _CG_STALLED, _CG_BREAKDOWN = range(4)
+
+
 def _cg(name, operator, b, x, tol, max_iter, jacobi=None):
     """Conjugate gradients for A x = b, in place on the flat vector x.
 
     A is the `name` operator ("viscous" or "diffusion") with the arguments
     `operator`, the tuple its builder makes: A v is
     _MATVECS[name](*operator, v, out, s), which may overwrite the scratch
-    vector `s`, or, when _kernels.load() gives the library, its compiled
-    twin, which gives the same bits.  With `jacobi` the residual is
-    preconditioned by that diagonal, otherwise z = r (plain CG).  `b` is
-    overwritten by the residual r = b - A x once its norm is taken.
-    Besides `x` and `b` the solve holds three vectors: p, A p and the
-    scratch, which carries the matvec temporaries, alpha*p, alpha*Ap and
-    z = r/jacobi in turn.  The loop allocates nothing.  Returns the
-    iteration count; raises LinearSolveDivergence, naming the solve, when
-    the right-hand side or the residual is not finite, on breakdown
+    vector `s`.  With `jacobi` the residual is preconditioned by that
+    diagonal, otherwise z = r (plain CG).  `b` is overwritten by the
+    residual r = b - A x once its norm is taken.  Besides `x` and `b` the
+    solve holds three vectors: p, A p and the scratch.  The loop after the
+    norm is _cg_iterate, or, when _kernels.load() gives the library, its
+    compiled twin, one call per solve, which gives the same bits.  Returns
+    the iteration count; raises LinearSolveDivergence, naming the solve,
+    when the right-hand side or the residual is not finite, on breakdown
     (p.Ap <= 0) and after `max_iter` iterations.
     """
     bnorm = math.sqrt(_dot(b, b))
@@ -228,31 +234,8 @@ def _cg(name, operator, b, x, tol, max_iter, jacobi=None):
 
     r = b
     s, ap, p = (np.empty_like(b) for _ in range(3))
-    z = r if jacobi is None else s
-    from . import _kernels  # at the first solve, not at import
-
-    lib = _kernels.load()
-    if lib is None:
-        matvec = _MATVECS[name]
-
-        def apply(v):
-            matvec(*operator, v, ap, s)
-
-        def update(alpha):
-            _cg_update(x, r, p, ap, s, jacobi, alpha)
-
-        def direction(beta):
-            _cg_direction(p, z, beta)
-    else:
-        apply, update, direction = _kernels.bind_cg(lib, name, operator, x, r, p, ap, z, jacobi)
-    apply(x)
-    np.subtract(b, ap, out=r)
-    if jacobi is None:
-        np.copyto(p, r)
-        rz = _dot(r, r)
-    else:
-        np.divide(r, jacobi, out=p)
-        rz = _dot(r, p)
+    jmin = jmax = far = 0.0
+    if jacobi is not None:
         # jmin*(r.z) <= r.r <= jmax*(r.z) for a positive diagonal: while the
         # lower bound stays 2x above the tolerance and the upper one far
         # from overflow, r.r can neither stop the loop nor be non-finite,
@@ -261,27 +244,64 @@ def _cg(name, operator, b, x, tol, max_iter, jacobi=None):
         if not jmin > 0.0:
             jmin = 0.0
         far = 4.0 * (tol * bnorm) ** 2
+    bounds = (tol * bnorm, max_iter, jmin, jmax, far)
+    from . import _kernels  # at the first solve, not at import
+
+    lib = _kernels.load()
+    if lib is None:
+        status, it, value = _cg_iterate(name, operator, x, r, p, ap, s, jacobi, *bounds)
+    else:
+        z = r if jacobi is None else s
+        solve = _kernels.bind_cg(lib, name, operator, x, r, p, ap, z, jacobi)
+        status, it, value = solve(*bounds)
+    if status == _CG_RESIDUAL_NOT_FINITE:
+        raise LinearSolveDivergence(f"{name} CG: residual is not finite after {it} iterations")
+    if status == _CG_STALLED:
+        raise LinearSolveDivergence(
+            f"{name} CG stalled after {it} iterations, residual {value / bnorm:.3e}"
+        )
+    if status == _CG_BREAKDOWN:
+        raise LinearSolveDivergence(
+            f"{name} CG breakdown at iteration {it}: p.Ap = {value:.3e} is not positive"
+        )
+    return it
+
+
+def _cg_iterate(name, operator, x, r, p, ap, s, jacobi, tb, max_iter, jmin, jmax, far):
+    """The loop of _cg after the norm of b, which `r` holds on entry:
+    r = b - A x, then CG steps until the residual norm is at most `tb`
+    (tol*|b|).  The Jacobi CG takes r.r only where it might end the loop:
+    when jmin*(r.z) no longer exceeds `far`, 4*(tol*|b|)^2, when
+    jmax*(r.z) is not below 1e300 (or r.z not finite) and at the
+    iteration cap.  Returns (status, iterations, value): value is the
+    residual norm, or p.Ap on breakdown."""
+    z = r if jacobi is None else s
+    matvec = _MATVECS[name]
+    matvec(*operator, x, ap, s)
+    np.subtract(r, ap, out=r)
+    if jacobi is None:
+        np.copyto(p, r)
+        rz = _dot(r, r)
+    else:
+        np.divide(r, jacobi, out=p)
+        rz = _dot(r, p)
     it = 0
     while True:
         if jacobi is None or it >= max_iter or not (jmin * rz > far and jmax * rz < 1e300):
             res = math.sqrt(rz if jacobi is None else _dot(r, r))
             if not math.isfinite(res):
-                raise LinearSolveDivergence(f"{name} CG: residual is not finite after {it} iterations")
-            if res <= tol * bnorm:
-                return it
+                return _CG_RESIDUAL_NOT_FINITE, it, res
+            if res <= tb:
+                return _CG_CONVERGED, it, res
             if it >= max_iter:
-                raise LinearSolveDivergence(
-                    f"{name} CG stalled after {it} iterations, residual {res / bnorm:.3e}"
-                )
-        apply(p)
+                return _CG_STALLED, it, res
+        matvec(*operator, p, ap, s)
         pap = _dot(p, ap)
         if not pap > 0.0:
-            raise LinearSolveDivergence(
-                f"{name} CG breakdown at iteration {it}: p.Ap = {pap:.3e} is not positive"
-            )
-        update(rz / pap)
+            return _CG_BREAKDOWN, it, pap
+        _cg_update(x, r, p, ap, s, jacobi, rz / pap)
         rz_new = _dot(r, z)
-        direction(rz_new / rz)
+        _cg_direction(p, z, rz_new / rz)
         rz = rz_new
         it += 1
 
@@ -560,11 +580,7 @@ def step(
         gP = gradient_cc_to_face(grid, P)
         adv = momentum_advection(grid, rho, ux, uy, scheme)
         drag = eps_gradrho_gradu(grid, rho, ux, uy, params.eps)
-        mx = face_average_x(rho) * ux - dt * (adv.x + gP.x + drag.x)
-        my = face_average_y(rho) * uy - dt * (adv.y + gP.y + drag.y)
-        if src is not None:
-            mx = mx + dt * src.ux
-            my = my + dt * src.uy
+        mx, my = _momentum_rhs(grid, rho, ux, uy, dt, adv, gP, drag, src)
         ux1, uy1, vit = _viscous_solve(
             grid,
             face_average_x(rho1),
@@ -580,6 +596,22 @@ def step(
 
     new_state = State(rho=rho1, b=b1, ux=ux1, uy=uy1, t=state.t + dt)
     return new_state, StepReport(dt_used=dt, linear_solver_iters=iters)
+
+
+def _momentum_rhs(grid, rho, ux, uy, dt, adv, gP, drag, src):
+    """(mx, my) = rho_f*u - dt*(adv + grad P + drag), plus dt times the
+    manufactured force when `src` is given."""
+    mx, my = np.empty_like(ux), np.empty_like(uy)
+    sx, sy = (None, None) if src is None else (src.ux, src.uy)
+    if _compiled("momentum_rhs", rho, ux, uy, *adv, *gP, *drag, sx, sy, mx, my,
+                 grid.nx, grid.ny, dt):
+        return mx, my
+    mx = face_average_x(rho) * ux - dt * (adv.x + gP.x + drag.x)
+    my = face_average_y(rho) * uy - dt * (adv.y + gP.y + drag.y)
+    if src is not None:
+        mx = mx + dt * src.ux
+        my = my + dt * src.uy
+    return mx, my
 
 
 def _check_positive(rho, b, t, dt):

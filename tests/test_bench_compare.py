@@ -1,5 +1,5 @@
 """bench/compare.py: the per-metric summary of alternating parent/change
-pairs, on synthetic runs."""
+pairs and the diff of the traced counts, on synthetic runs."""
 
 import importlib.util
 from pathlib import Path
@@ -45,3 +45,28 @@ def test_within_bound_of_a_higher_is_better_metric(compare, change, within):
     summary = compare._summary(pairs("cell_steps_per_s", [100.0, 101.0, 102.0], change), SPEC)
     assert summary["cell_steps_per_s"]["within_bound"] is within
     assert summary["cell_steps_per_s"]["claim_rule_holds"] is False
+
+
+def smoke(absent=(), **metrics):
+    base = {"solver.step.calls": 80.0, "solver.krylov_iters_per_step": 28.125,
+            "solver.viscous.iters_per_call": 18.4125, "storage.write_snapshot.bytes": 4737564.0,
+            "diagnostics.total_energy.useful_ratio": 1.0, "solver.viscous.busy_s": 0.25}
+    return {"metrics": {**base, **metrics}, "absent": list(absent)}
+
+
+def test_count_diff_ignores_times_and_names_every_count_that_differs(compare):
+    assert compare._count_diff(smoke(), smoke(**{"solver.viscous.busy_s": 0.1})) == []
+    lines = compare._count_diff(smoke(), smoke(**{
+        "solver.krylov_iters_per_step": 28.25, "storage.write_snapshot.bytes": 4737565.0,
+        "diagnostics.total_energy.useful_ratio": 0.5, "diagnostics.record_state.calls": 81.0}))
+    assert lines == [
+        "diagnostics.record_state.calls: parent None change 81.0",
+        "diagnostics.total_energy.useful_ratio: parent 1.0 change 0.5",
+        "solver.krylov_iters_per_step: parent 28.125 change 28.25",
+        "storage.write_snapshot.bytes: parent 4737564.0 change 4737565.0",
+    ]
+
+
+def test_count_diff_names_absent_layers(compare):
+    lines = compare._count_diff(smoke(), smoke(absent=["solver.viscous"]))
+    assert lines == ["absent on the change: solver.viscous"]

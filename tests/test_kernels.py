@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import sysconfig
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,16 +19,31 @@ from hypothesis import strategies as st
 import mhd2d
 from mhd2d import _kernels
 from mhd2d.config import Config
-from mhd2d.core import InitialDataSpec, SimulationParams, build_grid, validate_params
+from mhd2d.core import InitialDataSpec, SimulationParams, State, build_grid, validate_params
+from mhd2d.diagnostics import (
+    _energy_density,
+    _velocity_gradient_squares,
+    _weighted_grad_sq_terms,
+    log_entropy,
+)
 from mhd2d.errors import LinearSolveDivergence
-from mhd2d.operators import face_average_x, face_average_y
+from mhd2d.operators import (
+    FaceField,
+    eps_gradrho_gradu,
+    face_average_x,
+    face_average_y,
+    gradient_cc_to_face,
+    upwind_scalar_flux_div,
+)
 from mhd2d.solver import (
+    Sources,
     _cg,
     _cg_direction,
     _cg_update,
     _diffusion_matvec,
     _diffusion_operator,
     _face_vector,
+    _momentum_rhs,
     _viscous_matvec,
     _viscous_operator,
     _viscous_solve,
@@ -45,7 +61,8 @@ def lib():
     if _kernels._compiler() is None:
         pytest.skip("no C compiler: only the numpy path exists here")
     loaded = _kernels.load()
-    assert loaded is not None, "a C compiler is present but the kernels did not load"
+    assert loaded is not None, \
+        f"a C compiler is present but the kernels did not load: {_kernels._reason}"
     return loaded
 
 
@@ -93,10 +110,9 @@ shapes = st.tuples(st.integers(4, 24), st.integers(4, 24), st.integers(0, 2 ** 3
 
 
 def compiled_matvec(lib, name, operator, v, out):
-    """A v into `out` by the apply that bind_cg gives a solve."""
-    apply, _, _ = _kernels.bind_cg(lib, name, operator, v, *np.empty((2, v.size)), out,
-                                   np.empty(v.size), None)
-    apply(v)
+    """A v into `out` by the compiled matvec that cg_solve applies."""
+    arrays = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in operator]
+    getattr(lib, f"{name}_matvec")(*arrays, v.ctypes.data, out.ctypes.data)
 
 
 @given(shapes)
@@ -153,7 +169,7 @@ def test_the_load_check_runs_every_kernel(lib):
 
             return counted
 
-    assert _kernels._matches_numpy(Spy())
+    assert _kernels._first_mismatch(Spy()) is None
     assert called == set(_kernels._SIGNATURES)
 
 
@@ -176,6 +192,90 @@ def test_update_and_direction_kernels_are_bit_identical(lib, shape, jacobi):
     _cg_direction(p, z, beta)
     lib.cg_direction(n, p2.ctypes.data, z.ctypes.data, beta)
     assert p2.tobytes() == p.tobytes()
+
+
+# ------------------------------------------------------------------
+# the dot product, in numpy's einsum order
+# ------------------------------------------------------------------
+
+# short vectors, and lengths on either side of one, two, three and four
+# 8192-element chunks (33153 is a 128^2 face vector)
+DOT_LENGTHS = [*range(1, 41), 8191, 8192, 8193, 16383, 16384, 16385, 24577, 33153]
+
+
+def compiled_dot(lib, a, b):
+    return np.float64(lib.dot(a.size, a.ctypes.data, b.ctypes.data))
+
+
+@pytest.mark.parametrize("offset", [0, 1], ids=["aligned", "offset"])
+def test_dot_kernel_adds_in_einsum_order(lib, offset):
+    rng = np.random.default_rng(7 + offset)
+    for n in DOT_LENGTHS:
+        a, b = (junk(rng, n + offset)[offset:] for _ in range(2))
+        assert compiled_dot(lib, a, b).tobytes() == np.einsum("i,i->", a, b).tobytes(), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 8193, 33153])
+def test_dot_kernel_on_signed_zeros_infinities_and_nans(lib, n):
+    ones, zeros = np.ones(n), np.full(n, -0.0)
+    inf, both, nan = ones.copy(), ones.copy(), ones.copy()
+    inf[n // 2] = np.inf
+    both[0], both[-1] = np.inf, -np.inf  # inf - inf once n > 1
+    nan[-1] = np.nan
+    for a, b in [(zeros, ones), (zeros, -ones), (zeros, zeros), (inf, ones), (both, ones),
+                 (nan, ones)]:
+        with np.errstate(invalid="ignore"):
+            ref = np.einsum("i,i->", a, b)
+        got = compiled_dot(lib, a, b)
+        if np.isfinite(ref):
+            assert got.tobytes() == ref.tobytes()  # +0.0 from -0.0 products
+        else:  # the class only: an infinity of the same sign, or a NaN
+            assert (np.isnan(got) and np.isnan(ref)) or got == ref
+
+
+# ------------------------------------------------------------------
+# one CG solve, one compiled call
+# ------------------------------------------------------------------
+
+def cg_problem(name, nx, ny, jacobi):
+    """The arguments of _cg for a `name` solve on an nx x ny grid: the
+    operator, b, a start x, and the Jacobi diagonal or None."""
+    g = build_grid(SimulationParams(nx=nx, ny=ny))
+    rng = np.random.default_rng(nx + ny)
+    if name == "diffusion":
+        operator, diag = _diffusion_operator(g, 2e-3), None
+        n = nx * (ny + 1)
+        if jacobi:
+            diag = np.where(operator[0] > 0.0, operator[0], 1.0)
+    else:
+        rho = 1.0 + rng.random((nx, ny))
+        operator, diag = _viscous_operator(g, face_average_x(rho), face_average_y(rho), 1e-3,
+                                           0.1, 0.05)
+        n = (2 * nx + 1) * (ny + 1)
+        diag = diag if jacobi else None
+    return operator, rng.standard_normal(n), rng.standard_normal(n), diag
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (64, 64)], ids=["5x7", "64x64"])
+@pytest.mark.parametrize("name, jacobi", [("viscous", True), ("viscous", False),
+                                          ("diffusion", False), ("diffusion", True)])
+@pytest.mark.parametrize("capped", [False, True], ids=["converged", "capped"])
+def test_cg_solve_matches_the_numpy_loop(monkeypatch, lib, shape, name, jacobi, capped):
+    operator, b, x, diag = cg_problem(name, *shape, jacobi)
+    b[operator[0] == 0.0] = x[operator[0] == 0.0] = 0.0  # pinned faces and ghosts, as _cg gets them
+
+    def solve():
+        xx = x.copy()
+        try:
+            it = _cg(name, operator, b.copy(), xx, 1e-12, 3 if capped else 500, diag)
+        except LinearSolveDivergence as exc:
+            it = str(exc)
+        return xx.tobytes(), it
+
+    compiled, numpy_path, solves = both_paths(monkeypatch, solve)
+    assert solves == 1
+    assert compiled == numpy_path
+    assert isinstance(compiled[1], str) == capped  # a stall message when capped
 
 
 # ------------------------------------------------------------------
@@ -220,6 +320,89 @@ def test_mms_studies_are_bit_identical_on_both_paths(monkeypatch, lib, scheme):
     compiled, numpy_path, solves = both_paths(monkeypatch, study)
     assert solves > 0
     assert repr(compiled) == repr(numpy_path)
+
+
+# ------------------------------------------------------------------
+# the explicit stencils and the integrands
+# ------------------------------------------------------------------
+
+def on_both_paths(fn):
+    """(fn() with the kernels, fn() on the numpy path, the names of the
+    gridded kernels that ran in the first call).  No monkeypatch: the
+    hypothesis tests below may not take function-scoped fixtures."""
+    run, ran = _kernels.run, []
+
+    def counted(name, *args):
+        done = run(name, *args)
+        ran.extend([name] * done)
+        return done
+
+    lib = _kernels._lib
+    try:
+        _kernels.run = counted
+        compiled = fn()
+        _kernels.run, _kernels._lib = run, None
+        return compiled, fn(), set(ran)
+    finally:
+        _kernels.run, _kernels._lib = run, lib
+
+
+def gridded_outputs(p, g, state, fields):
+    """What every dispatching function returns for `state` on grid g."""
+    rho, b, ux, uy = state.rho, state.b, state.ux, state.uy
+    return [
+        gradient_cc_to_face(g, rho),
+        [upwind_scalar_flux_div(g, rho, ux, uy, s) for s in ("upwind", "centered")],
+        eps_gradrho_gradu(g, rho, ux, uy, 0.3),
+        [_momentum_rhs(g, rho, ux, uy, 0.01, *fields, s)
+         for s in (None, Sources(rho, b, *fields[0]))],
+        [_energy_density(state, q, g) for q in (p, replace(p, gamma=1.0, delta=0.0))],
+        _velocity_gradient_squares(g, state),
+        _weighted_grad_sq_terms(g, fields[1], 0.7, b),
+        log_entropy(state, g),
+    ]
+
+
+@given(shapes)
+def test_gridded_kernels_are_bit_identical(lib, shape):
+    nx, ny, seed = shape
+    rng = np.random.default_rng(seed)
+    p = SimulationParams(nx=nx, ny=ny, Ly=0.7, delta=0.01, Gamma=6.0, gamma=1.4)
+    g = build_grid(p)
+    state = State(0.5 + rng.random((nx, ny)), 0.5 + rng.random((nx, ny)),
+                  junk(rng, (nx + 1) * ny).reshape(nx + 1, ny),
+                  junk(rng, nx * (ny + 1)).reshape(nx, ny + 1), 0.0)
+    fields = [FaceField(junk(rng, (nx + 1) * ny).reshape(nx + 1, ny),
+                        junk(rng, nx * (ny + 1)).reshape(nx, ny + 1)) for _ in range(3)]
+    compiled, numpy_path, ran = on_both_paths(lambda: gridded_outputs(p, g, state, fields))
+    assert ran == set(_kernels._GRIDDED)
+    assert _kernels._same(compiled, numpy_path)
+
+
+def test_other_layouts_and_dtypes_take_the_numpy_path(lib):
+    g = build_grid(SimulationParams(nx=6, ny=5))
+    rng = np.random.default_rng(4)
+    q = 1.0 + rng.random((6, 5))
+    ux, uy = junk(rng, 35).reshape(7, 5), junk(rng, 36).reshape(6, 6)
+    cases = {"a Fortran-ordered array": lambda: gradient_cc_to_face(g, np.asfortranarray(q)),
+             "float32": lambda: upwind_scalar_flux_div(g, q.astype(np.float32), ux, uy),
+             "a broadcast source": lambda: _momentum_rhs(
+                 g, q, ux, uy, 0.1, *[FaceField(ux, uy)] * 3, Sources(q, q, 1.0, uy)),
+             "a one-element array for eps": lambda: eps_gradrho_gradu(g, q, ux, uy,
+                                                                      np.array([0.3]))}
+    for case, fn in cases.items():
+        compiled, numpy_path, ran = on_both_paths(fn)
+        assert ran == {"gradient"} if "eps" in case else ran == set(), case
+        assert _kernels._same(compiled, numpy_path), case
+
+    def missing():
+        """A missing array fails as numpy fails; only optional ones pass as NULL."""
+        with pytest.raises(Exception) as exc:
+            eps_gradrho_gradu(g, q, None, uy, 0.3)
+        return type(exc.value)
+
+    compiled, numpy_path, ran = on_both_paths(missing)
+    assert compiled is numpy_path and ran == {"gradient"}
 
 
 # ------------------------------------------------------------------
@@ -348,7 +531,8 @@ def mutated_build(tmp_path, monkeypatch, edit):
         pytest.skip("no C compiler")
     for name in ("gcc", "cc"):
         script(tmp_path / "bin" / name, f"sed '{edit}' | {cc} \"$@\"")
-    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    # sed and the compiler's own tools stay on the PATH, behind the script
+    monkeypatch.setenv("PATH", os.pathsep.join([str(tmp_path / "bin"), os.environ["PATH"]]))
 
 
 def mutated_kernel(tmp_path, monkeypatch):
@@ -361,9 +545,29 @@ def mutated_matvec(tmp_path, monkeypatch):
     mutated_build(tmp_path, monkeypatch, r"s/o += div\[k - L\] \* gxs/o -= div[k - L] * gxs/")
 
 
-@pytest.mark.parametrize("trigger", [no_compiler, failing_compiler, junk_library,
-                                     unwritable_cache, no_home_directory, mutated_kernel,
-                                     mutated_matvec])
+def mutated_dot(tmp_path, monkeypatch):
+    # a real build of a source whose dot feeds the lanes the pairs of a
+    # block in the opposite order, 0-1 first
+    mutated_build(tmp_path, monkeypatch, r"s/long j = 6; j >= 0; j -= 2/long j = 0; j <= 6; j += 2/")
+
+
+def mutated_chunk(tmp_path, monkeypatch):
+    # a real build of a source whose dot adds chunks of 4096 elements: the
+    # load check's 40- and 88-element vectors cannot see it
+    mutated_build(tmp_path, monkeypatch, r"s/8192/4096/g")
+
+
+# the reason load() gives for each trigger
+REASONS = {no_compiler: "no compiler", failing_compiler: "build failed",
+           junk_library: "load failed", unwritable_cache: "cache unwritable",
+           no_home_directory: "cache unwritable",
+           mutated_kernel: "cg_direction differs from its numpy twin",
+           mutated_matvec: "viscous_matvec differs from its numpy twin",
+           mutated_dot: "dot differs from its numpy twin",
+           mutated_chunk: "dot differs from its numpy twin"}
+
+
+@pytest.mark.parametrize("trigger", list(REASONS))
 def test_each_failure_leaves_the_run_on_the_numpy_path(monkeypatch, tmp_path, trigger):
     def small_run():
         p = validate_params(SimulationParams(nx=12, ny=10, eps=1e-2, delta=1e-2, t_final=0.02))
@@ -382,6 +586,8 @@ def test_each_failure_leaves_the_run_on_the_numpy_path(monkeypatch, tmp_path, tr
     monkeypatch.chdir(tmp_path)
     assert small_run() == reference
     assert _kernels._lib is None
+    # the compiler is looked up first, so a machine without one says so
+    assert _kernels._reason == (REASONS[trigger] if _kernels._compiler() else "no compiler")
     cache = tmp_path / "cache" / "mhd2d"
     stray = [f for f in os.listdir(cache) if not f.endswith(".so")] if cache.is_dir() else []
     assert stray == []
