@@ -2,14 +2,16 @@
  * solves of solver.py, the explicit stencils of operators.py and step(),
  * and the elementwise integrands of diagnostics.py.
  *
- * Each function is the twin of numpy code and gives bit-identical
- * results: every element goes through the same IEEE operations in the
- * same order as there (no reassociation, and no contraction into fused
- * multiply-adds, which the build switches off).  The scalar factors
- * arrive precomputed by the same Python expressions the numpy code uses,
- * so they are the same doubles.  Powers, logarithms and sums stay in
- * numpy: an integrand kernel writes the array that numpy then sums, in
- * the shape and layout numpy sums today.
+ * The library exports dot, cg_solve and the gridded kernels that
+ * _kernels.run dispatches; every helper they share is static.  Each
+ * export is the twin of numpy code and gives bit-identical results:
+ * every element goes through the same IEEE operations in the same order
+ * as there (no reassociation, and no contraction into fused multiply-adds,
+ * which the build switches off).  The scalar factors arrive precomputed
+ * by the same Python expressions the numpy code uses, so they are the
+ * same doubles.  Powers, logarithms and sums stay in numpy: an integrand
+ * kernel writes the array that numpy then sums, in the shape and layout
+ * numpy sums today.
  *
  * Krylov layout (solver.py): rows of L = ny+1; a cell vector holds nx
  * rows with a ghost in the last column; a face vector holds the nx+1
@@ -124,12 +126,6 @@ static inline void diffusion_apply(const double *restrict diag, long nx, long ny
     }
 }
 
-void diffusion_matvec(const double *restrict diag, long nx, long ny, double cx, double cy,
-                      const double *restrict v, double *restrict out)
-{
-    diffusion_apply(diag, nx, ny, cx, cy, v, out, 0);
-}
-
 /* out = rho_f*u - dt*(mu*Lap(u) + (mu+lam)*grad div u): twin of
  * solver._viscous_matvec.  ihx, ihy are 1/h, cxs, cys dt*mu/h^2 and
  * gxs, gys dt*(mu+lam)/h; div is a cell-vector scratch.  With d, u.out
@@ -194,13 +190,6 @@ static inline void viscous_apply(const double *restrict centre, double *restrict
     }
 }
 
-void viscous_matvec(const double *restrict centre, double *restrict div, long nx, long ny,
-                    double ihx, double ihy, double cxs, double cys, double gxs, double gys,
-                    const double *restrict u, double *restrict out)
-{
-    viscous_apply(centre, div, nx, ny, ihx, ihy, cxs, cys, gxs, gys, u, out, 0);
-}
-
 /* x += alpha*p, r -= alpha*ap and, when jacobi is given, z = r/jacobi,
  * over the elements [k0, k1). */
 static inline void update_range(long k0, long k1, double *restrict x, double *restrict r,
@@ -221,16 +210,9 @@ static inline void update_range(long k0, long k1, double *restrict x, double *re
     }
 }
 
-/* Twin of solver._cg_update.  Without jacobi, z is not touched. */
-void cg_update(long n, double *restrict x, double *restrict r, const double *restrict p,
-               const double *restrict ap, double *restrict z, const double *restrict jacobi,
-               double alpha)
-{
-    update_range(0, n, x, r, p, ap, z, jacobi, alpha);
-}
-
-/* cg_update, then r.z (z is r without jacobi, and then never written
- * through z), each block of 8 summed as soon as it is updated. */
+/* The update of x, r and, with jacobi, z over all n elements, then r.z
+ * (z is r without jacobi, and then never written through z), each block
+ * of 8 summed as soon as it is updated. */
 static inline double update_dot(long n, double *restrict x, double *restrict r,
                                 const double *restrict p, const double *restrict ap,
                                 double *restrict z, const double *restrict jacobi, double alpha)
@@ -244,8 +226,10 @@ static inline double update_dot(long n, double *restrict x, double *restrict r,
     return dot_end(&d, r, jacobi ? z : r, n);
 }
 
-/* p = beta*p + z: twin of solver._cg_direction. */
-void cg_direction(long n, double *restrict p, const double *restrict z, double beta)
+/* p = beta*p + z.  Kept out of line, as it was while exported: inlined
+ * into cg_solve (GCC 12, x86-64), 32^2 solves ran about 2% slower. */
+static __attribute__((noinline)) void cg_direction(long n, double *restrict p,
+                                                   const double *restrict z, double beta)
 {
     for (long k = 0; k < n; k++)
         p[k] = p[k] * beta + z[k];

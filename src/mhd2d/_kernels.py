@@ -1,5 +1,7 @@
 """Compiled twins of the hot loops of a step: the conjugate-gradient
 solves, the explicit stencils and the integrands of the diagnostics.
+The library exports what this module calls and nothing else: `dot`,
+`cg_solve` and the gridded kernels that `run` dispatches.
 
 `load()` returns the ctypes handle of `_kernels.c` or None; with None
 every caller runs its numpy code, and both give the same bits.  The
@@ -29,10 +31,6 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 _FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 _P, _D, _N = ctypes.c_void_p, ctypes.c_double, ctypes.c_long
 _SIGNATURES = {
-    "diffusion_matvec": (_P, _N, _N, _D, _D, _P, _P),
-    "viscous_matvec": (_P, _P, _N, _N, _D, _D, _D, _D, _D, _D, _P, _P),
-    "cg_update": (_N, _P, _P, _P, _P, _P, _P, _D),
-    "cg_direction": (_N, _P, _P, _D),
     "dot": (_N, _P, _P),
     "cg_solve": (_N, _P, _P, _N, _N, _P, _N, _P, _P, _P, _P, _P, _P, _D, _N, _D, _D, _D,
                  _P, _P),
@@ -139,31 +137,25 @@ def _addresses(n, *vectors):
     return [v.ctypes.data for v in vectors]
 
 
-def bind_cg(lib, name, operator, x, r, p, ap, z, jacobi):
-    """solver._cg's loop on its buffers as one compiled call: the twin of
-    solver._cg_iterate, solve(tb, max_iter, jmin, jmax, far) -> (status,
-    iterations, value).  `operator` holds the arguments before the vectors
-    of the `name` matvec's numpy twin: the diagonal, of the vectors' size,
-    and any cell-vector scratch, then nx, ny and the scalars.  r holds b,
-    z is r (plain CG) or the scratch that takes r/jacobi.  The caller
-    keeps the vectors and the operator's arrays alive."""
+def cg_solve(lib, name, operator, x, r, p, ap, z, jacobi, tb, max_iter, jmin, jmax, far):
+    """solver._cg's loop on its buffers as one compiled call, the twin of
+    solver._cg_iterate: the same bounds, the same (status, iterations,
+    value).  `operator` holds the arguments before the vectors of the
+    `name` matvec's numpy twin: the diagonal, of the vectors' size, and
+    any cell-vector scratch, then nx, ny and the scalars.  r holds b, z is
+    r (plain CG) or the scratch that takes r/jacobi."""
     n = x.size
     xa, ra, pa, apa, za = _addresses(n, x, r, p, ap, z)
     ja = None if jacobi is None else _addresses(n, jacobi)[0]
     k = next(i for i, a in enumerate(operator) if not isinstance(a, np.ndarray))
     nx, ny = operator[k:k + 2]
     diag, *scratch = (*_addresses(n, operator[0]), *_addresses(nx * (ny + 1), *operator[1:k]))
-    factors = (ctypes.c_double * 6)(*operator[k + 2:])
     iters, value = ctypes.c_long(), ctypes.c_double()
-    kind = {"diffusion": 0, "viscous": 1}[name]
-
-    def solve(tb, max_iter, jmin, jmax, far):
-        status = lib.cg_solve(kind, diag, scratch[0] if scratch else None, nx, ny, factors, n,
-                              xa, ra, pa, apa, za, ja, tb, max_iter, jmin, jmax, far,
-                              ctypes.byref(iters), ctypes.byref(value))
-        return status, iters.value, value.value
-
-    return solve
+    status = lib.cg_solve({"diffusion": 0, "viscous": 1}[name], diag,
+                          scratch[0] if scratch else None, nx, ny,
+                          (ctypes.c_double * 6)(*operator[k + 2:]), n, xa, ra, pa, apa, za, ja,
+                          tb, max_iter, jmin, jmax, far, ctypes.byref(iters), ctypes.byref(value))
+    return status, iters.value, value.value
 
 
 def run(name, *args) -> bool:
@@ -200,8 +192,8 @@ def _first_mismatch(lib):
     """The name of the first kernel that differs from its numpy twin on
     random data (walls, ghosts and signed zeros included), compared by
     their bytes, or None.  In turn: the einsum-order dot, on a vector
-    longer than one 8192-element chunk too; each CG step; whole CG solves
-    through bind_cg; then each gridded kernel, through the function that
+    longer than one 8192-element chunk too; cg_solve, capped and run to
+    its end; then each gridded kernel, through the function that
     dispatches it, once on each path."""
     from . import solver
 
@@ -236,54 +228,29 @@ def _same(a, b) -> bool:
 
 
 def _cg_mismatch(lib, junk):
-    """The first CG kernel of lib that differs from its numpy twin, or
-    None: each matvec, the update and the direction on a 5x7 grid, then
-    cg_solve against solver._cg_iterate on that grid, with and without a
-    Jacobi diagonal, capped short of convergence and run to its end.
-    cg_solve's dots are dot's code, which _first_mismatch has checked
-    across a chunk; tests/test_kernels.py runs whole solves at 64^2."""
+    """The name cg_solve if it differs from solver._cg_iterate, else None:
+    each operator on a 5x7 grid, with and without a Jacobi diagonal,
+    capped at 0 iterations (A x and r = b - A x), at 1 (one update and one
+    direction), at 3 and run to its end, comparing x, r, p, Ap and the
+    returned triple.  cg_solve's dots are dot's code, which
+    _first_mismatch has checked across a chunk; tests/test_kernels.py runs
+    whole solves at 64^2."""
     from .core import SimulationParams, build_grid
-    from .solver import (_cg_direction, _cg_iterate, _cg_update, _diffusion_operator, _MATVECS,
-                         _viscous_operator)
+    from .solver import _cg_iterate, _diffusion_operator, _viscous_operator
 
     grid = build_grid(SimulationParams(nx=5, ny=7, Ly=0.7))
     rfx, rfy = 1.5 + junk(6, 7), 1.5 + junk(5, 8)
     cases = {"diffusion": (_diffusion_operator(grid, 0.05), None),
              "viscous": _viscous_operator(grid, rfx, rfy, 0.05, 0.3, 0.1)}
-    for name, (operator, _) in cases.items():
-        n = operator[0].size
-        u, out, ref = junk(3, n)
-        _MATVECS[name](*operator, u, ref, np.empty(n))
-        arrays = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in operator]
-        getattr(lib, f"{name}_matvec")(*arrays, u.ctypes.data, out.ctypes.data)
-        if not _same(out, ref):
-            return f"{name}_matvec"
-
-    n = cases["viscous"][0][0].size
-    for jacobi in (1.0 + junk(n) ** 2, None):
-        bufs = junk(5, n)
-        twin = bufs.copy()
-        alpha, beta = junk(2)
-        _cg_update(*bufs, jacobi, alpha)
-        lib.cg_update(n, *[v.ctypes.data for v in twin],
-                      None if jacobi is None else jacobi.ctypes.data, alpha)
-        z = 4 if jacobi is not None else 1  # without jacobi, numpy's scratch holds junk
-        if not _same(twin[[0, 1, z]], bufs[[0, 1, z]]):
-            return "cg_update"
-        _cg_direction(bufs[2], bufs[z], beta)
-        lib.cg_direction(n, twin[2].ctypes.data, twin[z].ctypes.data, beta)
-        if not _same(twin[2], bufs[2]):
-            return "cg_direction"
-
     for name, (operator, jac) in cases.items():
         for jacobi in (None,) if jac is None else (jac, None):
-            for max_iter in (3, 40):
+            for max_iter in (0, 1, 3, 40):
                 bufs = junk(5, operator[0].size)  # x, b, p, Ap, scratch
                 twin = bufs.copy()
                 bounds = (1e-10, max_iter, 0.5, 2.0, 1e-20)
                 numpy_path = _cg_iterate(name, operator, *bufs, jacobi, *bounds)
                 z = twin[1] if jacobi is None else twin[4]
-                compiled = bind_cg(lib, name, operator, *twin[:4], z, jacobi)(*bounds)
+                compiled = cg_solve(lib, name, operator, *twin[:4], z, jacobi, *bounds)
                 # the numpy matvec also writes its scratch, the fifth buffer
                 if compiled[:2] != numpy_path[:2] or not _same(
                         [compiled[2], twin[:4]], [numpy_path[2], bufs[:4]]):

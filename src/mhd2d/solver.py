@@ -188,23 +188,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _cg_update(x, r, p, ap, s, jacobi, alpha):
-    """x += alpha*p and r -= alpha*Ap through the scratch `s`, then, with
-    `jacobi`, z = r/jacobi into `s`."""
-    np.multiply(p, alpha, out=s)
-    x += s
-    np.multiply(ap, alpha, out=s)
-    r -= s
-    if jacobi is not None:
-        np.divide(r, jacobi, out=s)
-
-
-def _cg_direction(p, z, beta):
-    """p = beta*p + z."""
-    p *= beta
-    p += z
-
-
 # the outcomes of _cg_iterate, as cg_solve in _kernels.c numbers them
 _CG_CONVERGED, _CG_RESIDUAL_NOT_FINITE, _CG_STALLED, _CG_BREAKDOWN = range(4)
 
@@ -252,8 +235,8 @@ def _cg(name, operator, b, x, tol, max_iter, jacobi=None):
         status, it, value = _cg_iterate(name, operator, x, r, p, ap, s, jacobi, *bounds)
     else:
         z = r if jacobi is None else s
-        solve = _kernels.bind_cg(lib, name, operator, x, r, p, ap, z, jacobi)
-        status, it, value = solve(*bounds)
+        status, it, value = _kernels.cg_solve(lib, name, operator, x, r, p, ap, z, jacobi,
+                                              *bounds)
     if status == _CG_RESIDUAL_NOT_FINITE:
         raise LinearSolveDivergence(f"{name} CG: residual is not finite after {it} iterations")
     if status == _CG_STALLED:
@@ -299,9 +282,17 @@ def _cg_iterate(name, operator, x, r, p, ap, s, jacobi, tb, max_iter, jmin, jmax
         pap = _dot(p, ap)
         if not pap > 0.0:
             return _CG_BREAKDOWN, it, pap
-        _cg_update(x, r, p, ap, s, jacobi, rz / pap)
+        # x += alpha*p and r -= alpha*Ap through the scratch, then z = r/jacobi
+        alpha = rz / pap
+        np.multiply(p, alpha, out=s)
+        x += s
+        np.multiply(ap, alpha, out=s)
+        r -= s
+        if jacobi is not None:
+            np.divide(r, jacobi, out=s)
         rz_new = _dot(r, z)
-        _cg_direction(p, z, rz_new / rz)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
         it += 1
 

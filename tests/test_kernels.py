@@ -37,14 +37,12 @@ from mhd2d.operators import (
 )
 from mhd2d.solver import (
     Sources,
+    _CG_STALLED,
     _cg,
-    _cg_direction,
-    _cg_update,
-    _diffusion_matvec,
+    _cg_iterate,
     _diffusion_operator,
     _face_vector,
     _momentum_rhs,
-    _viscous_matvec,
     _viscous_operator,
     _viscous_solve,
     implicit_diffusion_solve,
@@ -70,9 +68,9 @@ def both_paths(monkeypatch, fn):
     """fn() with the compiled kernels loaded, then with the numpy path
     forced, and the number of solves that ran compiled in the first call."""
     assert _kernels.load() is not None  # callers take the `lib` fixture
-    bind_cg, bound = _kernels.bind_cg, []
+    cg_solve, bound = _kernels.cg_solve, []
     with monkeypatch.context() as m:
-        m.setattr(_kernels, "bind_cg", lambda *args: bound.append(1) or bind_cg(*args))
+        m.setattr(_kernels, "cg_solve", lambda *args: bound.append(1) or cg_solve(*args))
         compiled = fn()
     with monkeypatch.context() as m:
         m.setattr(_kernels, "_lib", None)
@@ -109,39 +107,42 @@ def junk(rng, n):
 shapes = st.tuples(st.integers(4, 24), st.integers(4, 24), st.integers(0, 2 ** 32 - 1))
 
 
-def compiled_matvec(lib, name, operator, v, out):
-    """A v into `out` by the compiled matvec that cg_solve applies."""
-    arrays = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in operator]
-    getattr(lib, f"{name}_matvec")(*arrays, v.ctypes.data, out.ctypes.data)
+def signed(rng, n):
+    """Random diagonal entries of either sign, none zero."""
+    return rng.choice([-1.0, 1.0], n) * (0.5 + rng.random(n))
 
 
-@given(shapes)
-def test_diffusion_matvec_kernel_is_bit_identical(lib, shape):
+@given(shapes, st.booleans())
+def test_cg_solve_steps_are_bit_identical(lib, shape, jacobi):
+    # capped at 0 on junk operators, walls and ghosts included: A x and
+    # r = b - A x; at 1 on the builders' operators: one update and one
+    # direction.  Every buffer starts as junk, signed zeros included.
     nx, ny, seed = shape
     rng = np.random.default_rng(seed)
-    n = nx * (ny + 1)
-    operator = (junk(rng, n), nx, ny, *rng.random(2))
-    v, ref, out = junk(rng, n), junk(rng, n), junk(rng, n)
-    _diffusion_matvec(*operator, v, ref, np.empty(n))
-    compiled_matvec(lib, "diffusion", operator, v, out)
-    assert out.tobytes() == ref.tobytes()
-
-
-@given(shapes)
-def test_viscous_matvec_kernel_is_bit_identical(lib, shape):
-    nx, ny, seed = shape
-    rng = np.random.default_rng(seed)
-    n = (2 * nx + 1) * (ny + 1)
-    # walls and ghosts carry junk too
-    operator = (junk(rng, n), np.empty(nx * (ny + 1)), nx, ny, *rng.random(6))
-    u, ref, out = junk(rng, n), junk(rng, n), junk(rng, n)
-    _viscous_matvec(*operator, u, ref, np.empty(n))
-    compiled_matvec(lib, "viscous", operator, u, out)
-    assert out.tobytes() == ref.tobytes()
+    nc, nf = nx * (ny + 1), (2 * nx + 1) * (ny + 1)
+    junk_operators = {"diffusion": (junk(rng, nc), nx, ny, *rng.random(2)),
+                      "viscous": (junk(rng, nf), np.empty(nc), nx, ny, *rng.random(6))}
+    cases = [(name, op, signed(rng, op[0].size), 0) for name, op in junk_operators.items()]
+    cases += [(name, *cg_problem(name, nx, ny, True)[::3], 1) for name in junk_operators]
+    for name, operator, diag, cap in cases:
+        diag = diag if jacobi else None
+        bufs = np.stack([junk(rng, operator[0].size) for _ in range(5)])  # x, b, p, Ap, scratch
+        if cap:  # pinned faces and ghosts, as _cg gets them, keep p.Ap > 0
+            bufs[:2, operator[0] == 0.0] = 0.0
+        twin = bufs.copy()
+        bounds = (1e-10, cap, 0.5, 2.0, 1e-20)
+        numpy_path = _cg_iterate(name, operator, *bufs, diag, *bounds)
+        z = twin[1] if diag is None else twin[4]
+        compiled = _kernels.cg_solve(lib, name, operator, *twin[:4], z, diag, *bounds)
+        assert numpy_path[:2] == (_CG_STALLED, cap)
+        assert compiled[:2] == numpy_path[:2] and _kernels._same(compiled[2], numpy_path[2])
+        # the numpy matvec writes its scratch too; after an update it holds z = r/jacobi
+        k = 5 if diag is not None and cap else 4
+        assert twin[:k].tobytes() == bufs[:k].tobytes(), (name, cap)
 
 
 @pytest.mark.parametrize("bad", ["centre", "div", "x", "p"])
-def test_bind_cg_takes_only_vectors_of_the_exact_size_and_layout(lib, bad):
+def test_cg_solve_takes_only_vectors_of_the_exact_size_and_layout(lib, bad):
     nx, ny = 4, 5
     n, nc = (2 * nx + 1) * (ny + 1), nx * (ny + 1)
     v = {"centre": np.zeros(n), "div": np.zeros(nc), "x": np.zeros(n), "p": np.zeros(n)}
@@ -150,8 +151,8 @@ def test_bind_cg_takes_only_vectors_of_the_exact_size_and_layout(lib, bad):
               "p": np.zeros(2 * n)[::2]}[bad]
     operator = (v["centre"], v["div"], nx, ny, *[1.0] * 6)
     with pytest.raises(ValueError, match="contiguous float64 vectors"):
-        _kernels.bind_cg(lib, "viscous", operator, v["x"], np.zeros(n), v["p"], np.zeros(n),
-                         np.zeros(n), None)
+        _kernels.cg_solve(lib, "viscous", operator, v["x"], np.zeros(n), v["p"], np.zeros(n),
+                          np.zeros(n), None, 1e-10, 3, 0.0, 0.0, 0.0)
 
 
 def test_the_load_check_runs_every_kernel(lib):
@@ -171,27 +172,6 @@ def test_the_load_check_runs_every_kernel(lib):
 
     assert _kernels._first_mismatch(Spy()) is None
     assert called == set(_kernels._SIGNATURES)
-
-
-@given(shapes, st.booleans())
-def test_update_and_direction_kernels_are_bit_identical(lib, shape, jacobi):
-    nx, ny, seed = shape
-    rng = np.random.default_rng(seed)
-    n = (2 * nx + 1) * (ny + 1)
-    x, r, p, ap, s = (junk(rng, n) for _ in range(5))
-    jac = rng.choice([-1.0, 1.0], n) * (0.5 + rng.random(n)) if jacobi else None
-    alpha, beta = rng.standard_normal(2)
-    x2, r2, p2, s2 = x.copy(), r.copy(), p.copy(), s.copy()
-    _cg_update(x, r, p, ap, s, jac, alpha)
-    lib.cg_update(n, x2.ctypes.data, r2.ctypes.data, p2.ctypes.data, ap.ctypes.data,
-                  s2.ctypes.data, None if jac is None else jac.ctypes.data, alpha)
-    assert x2.tobytes() == x.tobytes() and r2.tobytes() == r.tobytes()
-    if jacobi:
-        assert s2.tobytes() == s.tobytes()  # z = r/jacobi
-    z = s if jacobi else r
-    _cg_direction(p, z, beta)
-    lib.cg_direction(n, p2.ctypes.data, z.ctypes.data, beta)
-    assert p2.tobytes() == p.tobytes()
 
 
 # ------------------------------------------------------------------
@@ -561,8 +541,8 @@ def mutated_chunk(tmp_path, monkeypatch):
 REASONS = {no_compiler: "no compiler", failing_compiler: "build failed",
            junk_library: "load failed", unwritable_cache: "cache unwritable",
            no_home_directory: "cache unwritable",
-           mutated_kernel: "cg_direction differs from its numpy twin",
-           mutated_matvec: "viscous_matvec differs from its numpy twin",
+           mutated_kernel: "cg_solve differs from its numpy twin",
+           mutated_matvec: "cg_solve differs from its numpy twin",
            mutated_dot: "dot differs from its numpy twin",
            mutated_chunk: "dot differs from its numpy twin"}
 

@@ -1,5 +1,5 @@
 """Source hygiene of src/mhd2d: no module-level name that nothing uses,
-and each input rule written once."""
+no compiled export that nothing binds, and each input rule written once."""
 
 import ast
 import pathlib
@@ -37,6 +37,15 @@ def test_every_module_level_private_name_is_used():
             dead += [f"{module}:{name}" for name in names
                      if name.startswith("_") and not name.startswith("__") and _uses(name) == 1]
     assert dead == [], "private names defined but used nowhere else in src/"
+
+
+def test_the_kernel_library_exports_only_what_the_loader_binds():
+    # non-static definitions start a line; _kernels._SIGNATURES binds each name
+    from mhd2d import _kernels
+
+    text = (SRC / "_kernels.c").read_text()
+    exported = re.findall(r"^(?!static\b|typedef\b)[a-z][\w \t*]*?\b(\w+)\(", text, re.M)
+    assert sorted(exported) == sorted(_kernels._SIGNATURES)
 
 
 def test_every_public_name_of_a_submodule_is_used_or_exported():
