@@ -11,7 +11,9 @@
  * by the same Python expressions the numpy code uses, so they are the
  * same doubles.  Powers, logarithms and sums stay in numpy: an integrand
  * kernel writes the array that numpy then sums, in the shape and layout
- * numpy sums today.
+ * numpy sums today.  No array argument is ever NULL: a term that only
+ * adds an array (the manufactured force, the artificial pressure) is
+ * added in numpy by the caller, after either path.
  *
  * Krylov layout (solver.py): rows of L = ny+1; a cell vector holds nx
  * rows with a ghost in the last column; a face vector holds the nx+1
@@ -400,18 +402,16 @@ static inline double momentum(double rf, double u, double a, double g, double d,
 }
 
 /* The momentum right-hand side of step(): m = rho_f*u - dt*(adv + grad P
- * + drag), then m + dt*src when src is given, with rho_f the face average
- * of rho that copies the adjacent cell on the walls
- * (operators.face_average_x/_y). */
+ * + drag), with rho_f the face average of rho that copies the adjacent
+ * cell on the walls (operators.face_average_x/_y). */
 void momentum_rhs(const double *restrict rho, const double *restrict ux,
                   const double *restrict uy, const double *restrict ax,
                   const double *restrict ay, const double *restrict gx,
                   const double *restrict gy, const double *restrict dx,
-                  const double *restrict dy, const double *restrict sx,
-                  const double *restrict sy, double *restrict mx, double *restrict my, long nx,
-                  long ny, double dt)
+                  const double *restrict dy, double *restrict mx, double *restrict my,
+                  long nx, long ny, double dt)
 {
-    const long Ly = ny + 1, nfx = (nx + 1) * ny, nfy = nx * Ly;
+    const long Ly = ny + 1;
     for (long j = 0; j < ny; j++) {
         const long k = nx * ny + j;
         mx[j] = momentum(rho[j], ux[j], ax[j], gx[j], dx[j], dt);
@@ -429,26 +429,20 @@ void momentum_rhs(const double *restrict rho, const double *restrict ux,
             my[k] = momentum(0.5 * (r[j - 1] + r[j]), uy[k], ay[k], gy[k], dy[k], dt);
         }
     }
-    if (sx)
-        for (long k = 0; k < nfx; k++)
-            mx[k] = mx[k] + dt * sx[k];
-    if (sy)
-        for (long k = 0; k < nfy; k++)
-            my[k] = my[k] + dt * sy[k];
 }
 
 /* ------------------------------------------------------------------
  * Integrands of the diagnostics
  * ------------------------------------------------------------------ */
 
-/* The energy density of diagnostics.total_energy: rho|u_c|^2/2 with the
- * face-to-center velocity, the elastic term and b^2/2, then + dcoef*s
- * when s is given.  `elastic` holds log(rho) when iso (the term is
+/* The energy density of diagnostics.total_energy without the artificial
+ * pressure: rho|u_c|^2/2 with the face-to-center velocity, the elastic
+ * term and b^2/2.  `elastic` holds log(rho) when iso (the term is
  * (ecoef*rho)*log rho) and rho**gamma otherwise (ecoef*rho**gamma). */
 void energy_density(const double *restrict rho, const double *restrict b,
                     const double *restrict ux, const double *restrict uy,
-                    const double *restrict elastic, const double *restrict s,
-                    double *restrict e, long nx, long ny, double ecoef, long iso, double dcoef)
+                    const double *restrict elastic, double *restrict e, long nx, long ny,
+                    double ecoef, long iso)
 {
     for (long i = 0; i < nx; i++) {
         const double *u = ux + i * ny, *v = uy + i * (ny + 1);
@@ -461,9 +455,6 @@ void energy_density(const double *restrict rho, const double *restrict b,
             e[k] = kinetic + el + 0.5 * b[k] * b[k];
         }
     }
-    if (s)
-        for (long k = 0; k < nx * ny; k++)
-            e[k] = e[k] + dcoef * s[k];
 }
 
 /* The squares of the velocity gradients of
@@ -534,14 +525,4 @@ void weighted_grad_sq(const double *restrict pw, const double *restrict gx,
             oy[i * (ny - 1) + j - 1] = w * (g * g);
         }
     }
-}
-
-/* rho*log rho + b*log b from the two logarithms: the integrand of
- * diagnostics.log_entropy. */
-void entropy_density(const double *restrict rho, const double *restrict b,
-                     const double *restrict lr, const double *restrict lb, double *restrict out,
-                     long nx, long ny)
-{
-    for (long k = 0; k < nx * ny; k++)
-        out[k] = rho[k] * lr[k] + b[k] * lb[k];
 }

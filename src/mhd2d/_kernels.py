@@ -42,14 +42,11 @@ _GRIDDED = {
     "gradient": ("cxy", _D, _D),
     "scalar_flux_div": ("cxyxyc", _D, _D, _N),
     "eps_drag": ("xyxyxy", _D, _D, _D),
-    "momentum_rhs": ("cxyxyxyxyxyxy", _D),
-    "energy_density": ("ccxyccc", _D, _N, _D),
+    "momentum_rhs": ("cxyxyxyxyxy", _D),
+    "energy_density": ("ccxycc", _D, _N),
     "velocity_gradient_sq": ("xyccnnc", _D, _D),
     "weighted_grad_sq": ("cxyXY", _D),
-    "entropy_density": ("ccccc",),
 }
-# the array arguments a gridded kernel takes as NULL when they are None
-_OPTIONAL = {"momentum_rhs": (9, 10), "energy_density": (5,)}
 _RESTYPES = {"dot": _D, "cg_solve": _N}
 for _name, (_codes, *_scalars) in _GRIDDED.items():
     _SIGNATURES[_name] = (*[_P] * len(_codes), _N, _N, *_scalars)
@@ -159,12 +156,12 @@ def cg_solve(lib, name, operator, x, r, p, ap, z, jacobi, tb, max_iter, jmin, jm
 
 
 def run(name, *args) -> bool:
-    """Whether the gridded kernel `name` ran on `args`: its arrays (None
-    for an absent optional one), then nx, ny and the scalars.  It runs
-    when the library loads, every array is a C-contiguous float64 array
-    of exactly the shape the kernel takes and ctypes can pass every
-    scalar; otherwise nothing is touched and the caller runs its numpy
-    twin, which raises or computes as it always has."""
+    """Whether the gridded kernel `name` ran on `args`: its arrays, then
+    nx, ny and the scalars.  It runs when the library loads, every array
+    is a C-contiguous float64 array of exactly the shape the kernel takes
+    and ctypes can pass every scalar; otherwise (None for an array too)
+    nothing is touched and the caller runs its numpy twin, which raises
+    or computes as it always has."""
     lib = load()
     if lib is None:
         return False
@@ -173,14 +170,11 @@ def run(name, *args) -> bool:
     shapes = {"c": (nx, ny), "x": (nx + 1, ny), "y": (nx, ny + 1), "n": (nx + 1, ny + 1),
               "X": (nx - 1, ny), "Y": (nx, ny - 1)}
     addresses = []
-    for i, (code, a) in enumerate(zip(codes, args)):
-        if a is None and i in _OPTIONAL.get(name, ()):
-            addresses.append(None)
-        elif isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous \
-                and a.shape == shapes[code]:
-            addresses.append(a.ctypes.data)
-        else:
+    for code, a in zip(codes, args):
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
+                and a.shape == shapes[code]):
             return False
+        addresses.append(a.ctypes.data)
     try:
         getattr(lib, name)(*addresses, *args[len(codes):])
     except ctypes.ArgumentError:  # ctypes converts every argument before the call
@@ -192,9 +186,9 @@ def _first_mismatch(lib):
     """The name of the first kernel that differs from its numpy twin on
     random data (walls, ghosts and signed zeros included), compared by
     their bytes, or None.  In turn: the einsum-order dot, on a vector
-    longer than one 8192-element chunk too; cg_solve, capped and run to
-    its end; then each gridded kernel, through the function that
-    dispatches it, once on each path."""
+    longer than one 8192-element chunk too; cg_solve, capped, run to a
+    breakdown or a stall, and converged; then each gridded kernel,
+    through the function that dispatches it, once on each path."""
     from . import solver
 
     rng = random.Random(2024)  # not numpy.random, which would cost 5 MB to load
@@ -231,8 +225,10 @@ def _cg_mismatch(lib, junk):
     """The name cg_solve if it differs from solver._cg_iterate, else None:
     each operator on a 5x7 grid, with and without a Jacobi diagonal,
     capped at 0 iterations (A x and r = b - A x), at 1 (one update and one
-    direction), at 3 and run to its end, comparing x, r, p, Ap and the
-    returned triple.  cg_solve's dots are dot's code, which
+    direction), at 3, at 40 (junk ends in a breakdown or a stall) and at
+    120, the solver's 10*(nx+ny), from x and b zeroed where the diagonal
+    is zero, so that it converges; comparing x, r, p, Ap and the returned
+    triple.  cg_solve's dots are dot's code, which
     _first_mismatch has checked across a chunk; tests/test_kernels.py runs
     whole solves at 64^2."""
     from .core import SimulationParams, build_grid
@@ -244,8 +240,10 @@ def _cg_mismatch(lib, junk):
              "viscous": _viscous_operator(grid, rfx, rfy, 0.05, 0.3, 0.1)}
     for name, (operator, jac) in cases.items():
         for jacobi in (None,) if jac is None else (jac, None):
-            for max_iter in (0, 1, 3, 40):
+            for max_iter in (0, 1, 3, 40, 120):
                 bufs = junk(5, operator[0].size)  # x, b, p, Ap, scratch
+                if max_iter == 120:  # x, b = 0 on the pinned faces and ghosts: it converges
+                    bufs[:2, operator[0] == 0.0] = 0.0
                 twin = bufs.copy()
                 bounds = (1e-10, max_iter, 0.5, 2.0, 1e-20)
                 numpy_path = _cg_iterate(name, operator, *bufs, jacobi, *bounds)
@@ -284,7 +282,6 @@ def _gridded_mismatch(lib, junk):
                                         for q in (p, replace(p, gamma=1.0, delta=0.0))],
         "velocity_gradient_sq": lambda p, g: diagnostics._velocity_gradient_squares(g, state),
         "weighted_grad_sq": lambda p, g: diagnostics._weighted_grad_sq_terms(g, fields[1], 0.7, b),
-        "entropy_density": lambda p, g: diagnostics.log_entropy(state, g),
     }
     params = SimulationParams(nx=nx, ny=ny, Ly=0.7, delta=0.01, Gamma=6.0, gamma=1.4)
     grid = build_grid(params)

@@ -111,18 +111,14 @@ def _energy_density(state: State, params: SimulationParams, grid: Grid) -> np.nd
     iso = params.gamma == 1.0
     elastic = np.log(rho) if iso else rho ** params.gamma
     coef = params.a if iso else params.a / (params.gamma - 1.0)
-    s, dcoef = None, 0.0
-    if params.delta > 0.0:
-        s, dcoef = (rho + b) ** params.Gamma, params.delta / (params.Gamma - 1.0)
     e = np.empty(np.shape(rho))
-    if _compiled("energy_density", rho, b, state.ux, state.uy, elastic, s, e,
-                 grid.nx, grid.ny, coef, iso, dcoef):
-        return e
-    ucx, ucy = face_to_center(state.ux, state.uy)
-    kinetic = 0.5 * rho * (ucx * ucx + ucy * ucy)
-    e = kinetic + (coef * rho * elastic if iso else coef * elastic) + 0.5 * b * b
-    if s is not None:
-        e = e + dcoef * s
+    if not _compiled("energy_density", rho, b, state.ux, state.uy, elastic, e,
+                     grid.nx, grid.ny, coef, iso):
+        ucx, ucy = face_to_center(state.ux, state.uy)
+        kinetic = 0.5 * rho * (ucx * ucx + ucy * ucy)
+        e = kinetic + (coef * rho * elastic if iso else coef * elastic) + 0.5 * b * b
+    if params.delta > 0.0:
+        e += params.delta / (params.Gamma - 1.0) * (rho + b) ** params.Gamma
     return e
 
 
@@ -223,11 +219,7 @@ def log_entropy(state: State, grid: Grid) -> float:
     rho, b = state.rho, state.b
     if rho.min() <= 0.0 or b.min() <= 0.0:
         raise NonpositiveField("log entropy needs rho, b > 0")
-    lr, lb = np.log(rho), np.log(b)
-    e = np.empty(np.shape(rho))
-    if not _compiled("entropy_density", rho, b, lr, lb, e, grid.nx, grid.ny):
-        e = rho * lr + b * lb
-    return float(np.sum(e)) * grid.cell_area
+    return float(np.sum(rho * np.log(rho) + b * np.log(b))) * grid.cell_area
 
 
 def log_entropy_comparison(traj, traj_ref):

@@ -593,15 +593,13 @@ def _momentum_rhs(grid, rho, ux, uy, dt, adv, gP, drag, src):
     """(mx, my) = rho_f*u - dt*(adv + grad P + drag), plus dt times the
     manufactured force when `src` is given."""
     mx, my = np.empty_like(ux), np.empty_like(uy)
-    sx, sy = (None, None) if src is None else (src.ux, src.uy)
-    if _compiled("momentum_rhs", rho, ux, uy, *adv, *gP, *drag, sx, sy, mx, my,
-                 grid.nx, grid.ny, dt):
-        return mx, my
-    mx = face_average_x(rho) * ux - dt * (adv.x + gP.x + drag.x)
-    my = face_average_y(rho) * uy - dt * (adv.y + gP.y + drag.y)
+    if not _compiled("momentum_rhs", rho, ux, uy, *adv, *gP, *drag, mx, my,
+                     grid.nx, grid.ny, dt):
+        mx = face_average_x(rho) * ux - dt * (adv.x + gP.x + drag.x)
+        my = face_average_y(rho) * uy - dt * (adv.y + gP.y + drag.y)
     if src is not None:
-        mx = mx + dt * src.ux
-        my = my + dt * src.uy
+        mx += dt * src.ux
+        my += dt * src.uy
     return mx, my
 
 

@@ -24,7 +24,6 @@ from mhd2d.diagnostics import (
     _energy_density,
     _velocity_gradient_squares,
     _weighted_grad_sq_terms,
-    log_entropy,
 )
 from mhd2d.errors import LinearSolveDivergence
 from mhd2d.operators import (
@@ -156,22 +155,28 @@ def test_cg_solve_takes_only_vectors_of_the_exact_size_and_layout(lib, bad):
 
 
 def test_the_load_check_runs_every_kernel(lib):
-    called = set()
+    called, statuses = set(), set()
 
     class Spy:
-        """The library, noting the name of each function called."""
+        """The library, noting the name of each function called and the
+        status of each solve; no gridded kernel may receive a NULL."""
 
         def __getattr__(self, name):
             fn = getattr(lib, name)
 
             def counted(*args):
                 called.add(name)
-                return fn(*args)
+                assert name not in _kernels._GRIDDED or None not in args, name
+                out = fn(*args)
+                if name == "cg_solve":
+                    statuses.add(out)
+                return out
 
             return counted
 
     assert _kernels._first_mismatch(Spy()) is None
     assert called == set(_kernels._SIGNATURES)
+    assert 0 in statuses  # a converged solve is compared too
 
 
 # ------------------------------------------------------------------
@@ -339,7 +344,6 @@ def gridded_outputs(p, g, state, fields):
         [_energy_density(state, q, g) for q in (p, replace(p, gamma=1.0, delta=0.0))],
         _velocity_gradient_squares(g, state),
         _weighted_grad_sq_terms(g, fields[1], 0.7, b),
-        log_entropy(state, g),
     ]
 
 
@@ -370,13 +374,15 @@ def test_other_layouts_and_dtypes_take_the_numpy_path(lib):
                  g, q, ux, uy, 0.1, *[FaceField(ux, uy)] * 3, Sources(q, q, 1.0, uy)),
              "a one-element array for eps": lambda: eps_gradrho_gradu(g, q, ux, uy,
                                                                       np.array([0.3]))}
+    kernels_that_run = {"a broadcast source": {"momentum_rhs"},  # numpy adds the force
+                        "a one-element array for eps": {"gradient"}}
     for case, fn in cases.items():
         compiled, numpy_path, ran = on_both_paths(fn)
-        assert ran == {"gradient"} if "eps" in case else ran == set(), case
+        assert ran == kernels_that_run.get(case, set()), case
         assert _kernels._same(compiled, numpy_path), case
 
     def missing():
-        """A missing array fails as numpy fails; only optional ones pass as NULL."""
+        """A missing array fails as numpy fails: no kernel takes a NULL."""
         with pytest.raises(Exception) as exc:
             eps_gradrho_gradu(g, q, None, uy, 0.3)
         return type(exc.value)

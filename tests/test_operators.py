@@ -236,7 +236,7 @@ def cfl_compliant_dt(grid, ux, uy, safety=0.9):
     out_x = np.maximum(ux[1:, :], 0.0) + np.maximum(-ux[:-1, :], 0.0)
     out_y = np.maximum(uy[:, 1:], 0.0) + np.maximum(-uy[:, :-1], 0.0)
     rate = (out_x / grid.hx + out_y / grid.hy).max()
-    return safety / rate
+    return safety / rate if rate > safety else 1.0  # dt*rate <= safety; safety/subnormal is inf
 
 
 def test_upwind_forward_euler_is_monotone():
@@ -252,6 +252,22 @@ def test_upwind_forward_euler_is_monotone():
         q1 = q - dt * upwind_scalar_flux_div(g, q, ux, uy, "upwind")
         assert q1.min() >= q.min() - 1e-12
         assert q1.max() <= q.max() + 1e-12
+
+
+def test_upwind_step_on_a_subnormal_stream_function_stays_finite():
+    # the CFL rule of the monotonicity tests on a stream function of 5e-324
+    # inside: the rate is 8e-323, whose inverse overflows, and inf*0 would
+    # make the mass NaN
+    g = make_grid(nx=4, ny=4, Lx=1.0, Ly=1.0)
+    psi = np.zeros((g.nx + 1, g.ny + 1))
+    psi[1:-1, 1:-1] = 5e-324
+    ux = (psi[:, 1:] - psi[:, :-1]) / g.hy
+    uy = -(psi[1:, :] - psi[:-1, :]) / g.hx
+    dt = cfl_compliant_dt(g, ux, uy)
+    q = np.ones((g.nx, g.ny))
+    q1 = q - dt * upwind_scalar_flux_div(g, q, ux, uy, "upwind")
+    assert dt == 1.0
+    assert np.array_equal(q1, q)
 
 
 @pytest.mark.parametrize("transport", [upwind_scalar_flux_div, momentum_advection])
